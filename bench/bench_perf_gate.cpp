@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "ftm/core/dgemm.hpp"
 #include "ftm/core/ftimm.hpp"
 #include "ftm/graph/executor.hpp"
 #include "ftm/graph/graph.hpp"
@@ -304,6 +305,26 @@ int main(int argc, char** argv) {
            std::to_string(strassen_r.cycles) + " cycles, " +
            std::to_string(strassen_r.strassen_levels) + " level)");
 
+  // ---- FP64 dgemm -------------------------------------------------------
+  // Gated: pins the FP64 Algorithm 4 cycle model on the N = 32 type-I and
+  // type-II shapes (dgemm's N <= 48 limit excludes the others).
+  struct DgemmRow {
+    Shape s;
+    core::GemmResult r;
+  };
+  std::vector<DgemmRow> dgemm_rows;
+  for (const std::size_t idx : {std::size_t{2}, std::size_t{4}}) {
+    const Shape& s = kShapes[idx];
+    FtimmOptions opt;
+    opt.cores = 8;
+    opt.functional = false;
+    dgemm_rows.push_back(
+        {s, core::dgemm(eng, core::DGemmInput::shape_only(s.m, s.n, s.k),
+                        opt)});
+    std::printf("perf gate: dgemm %zux%zux%zu: %llu cycles\n", s.m, s.n, s.k,
+                static_cast<unsigned long long>(dgemm_rows.back().r.cycles));
+  }
+
   const std::vector<GraphRow> graph_rows = run_graph_chains();
   Table gt({"chain", "nodes", "cycles", "DDR KB (planned)", "saved KB"});
   for (const GraphRow& r : graph_rows) {
@@ -362,6 +383,9 @@ int main(int argc, char** argv) {
   }
   emit(strassen_shape, "strassen", strassen_r.cycles,
        strassen_r.host_wall_us);
+  for (const DgemmRow& d : dgemm_rows) {
+    emit(d.s, "dgemm", d.r.cycles, d.r.host_wall_us);
+  }
   // ABFT overhead, informational: bench_compare.py prints the drift but
   // can never fail on it (checksum-cost-model changes are policy, not
   // regressions; the gated entries above already pin the verify-off
