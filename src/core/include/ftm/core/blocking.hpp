@@ -7,8 +7,34 @@
 #include <cstddef>
 
 #include "ftm/isa/machine.hpp"
+#include "ftm/kernelgen/spec.hpp"
 
 namespace ftm::core {
+
+/// Element widths of one Algorithm 4 run (run_strategy_m). A plain
+/// runtime value rather than a template parameter, so the loop nest is
+/// compiled once for every precision. B rows and C rows share one AM
+/// pitch: in every layout a B row holds c_bytes per column.
+struct ElemLayout {
+  std::size_t a_bytes = 4;    ///< bytes per A element
+  std::size_t b_bytes = 4;    ///< B bytes per k step per column
+  std::size_t c_bytes = 4;    ///< bytes per C (accumulator) element
+  std::size_t k_per_row = 1;  ///< k steps per B row (2 = k-pair interleaved)
+  kernelgen::DType dtype = kernelgen::DType::F32;  ///< micro-kernel dtype
+
+  /// Bytes per column of one (possibly k-pair interleaved) B row.
+  std::size_t b_row_bytes() const { return b_bytes * k_per_row; }
+  /// AM row pitch of an na-wide tile: na padded to whole 128-byte vectors.
+  std::size_t pitch_bytes(std::size_t na) const {
+    return (na * c_bytes + 127) / 128 * 128;
+  }
+  /// Widest N tile: three vectors (96 FP32 columns, 48 FP64).
+  std::size_t na_max() const { return 3 * 128 / c_bytes; }
+};
+
+/// F32 (the paper's), F64, and F16/BF16: 2-byte A, k-pair interleaved B
+/// rows of 32-bit words, FP32 C (docs/precision.md).
+ElemLayout elem_layout(kernelgen::DType dtype);
 
 /// Block sizes of the M-dimension strategy (Algorithm 4).
 struct MBlocks {
@@ -63,9 +89,18 @@ KBlocks adjust_k_blocks(KBlocks b, std::size_t m, std::size_t n,
                         std::size_t k, const isa::MachineConfig& mc,
                         int cores = 8);
 
+/// Algorithm 4 blocks of the fixed-width engines (dgemm, hgemm): one N
+/// panel of na = min(na_max, n) columns, k_a <= 512 (a multiple of two k
+/// pairs for interleaved B), and the same m_a balancing and GSM-filling
+/// k_g as adjust_m_blocks at the layout's element sizes.
+MBlocks fixed_m_blocks(std::size_t m, std::size_t n, std::size_t k,
+                       int cores, const isa::MachineConfig& mc,
+                       const ElemLayout& layout);
+
 /// Capacity audits: throw ContractViolation when a configuration cannot
 /// fit SM/AM/GSM with double buffering as used by the algorithms.
-void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc);
+void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc,
+                    const ElemLayout& layout = {});
 void check_k_blocks(const KBlocks& b, const isa::MachineConfig& mc);
 void check_t_blocks(const TBlocks& b, const isa::MachineConfig& mc);
 

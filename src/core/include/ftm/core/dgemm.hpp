@@ -1,8 +1,9 @@
 // FP64 GEMM on the simulated cluster — the extension companion to the
-// FP64 micro-kernels. Implements the M-dimension parallel algorithm
-// (Algorithm 4) with FP64 tiles: B panel cached in GSM, per-core A/C
-// streaming, ping-pong at every level, exact-n_a kernels. N is limited to
-// 48 (three 16-lane FP64 vectors), mirroring the paper's N <= 96 for FP32.
+// FP64 micro-kernels. Runs the M-dimension parallel algorithm (Algorithm
+// 4, run_strategy_m) with 8-byte elements: B panel cached in GSM, per-core
+// A/C streaming, ping-pong at every level, exact-n_a kernels. N is limited
+// to 48 (three 16-lane FP64 vectors), mirroring the paper's N <= 96 for
+// FP32.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +44,8 @@ struct DGemmInput {
   double flops() const { return 2.0 * m * n * k; }
 };
 
-/// C += A * B in FP64 via the M-parallel strategy. Block sizes are derived
-/// from the FP32 adjuster with element sizes doubled. Requires n <= 48.
+/// C += A * B in FP64 via the M-parallel strategy. Block sizes come from
+/// fixed_m_blocks at FP64 element sizes (blocking.hpp). Requires n <= 48.
 GemmResult dgemm(FtimmEngine& engine, const DGemmInput& in,
                  const FtimmOptions& opt = {});
 

@@ -52,13 +52,11 @@ class HostExecEngine {
             std::uint8_t* dst);
   /// memset-to-zero on `core`'s queue (K-strategy partial-C clear).
   void zero(int core, void* dst, std::size_t bytes);
-  /// Micro-kernel math on `core`'s queue.
-  void kernel_f32(int core, const kernelgen::MicroKernel& uk, const float* a,
-                  const float* b, float* c);
-  void kernel_f64(int core, const kernelgen::MicroKernel& uk,
-                  const double* a, const double* b, double* c);
-  void kernel_half(int core, const kernelgen::MicroKernel& uk,
-                   const std::uint16_t* a, const std::uint32_t* b, float* c);
+  /// Micro-kernel math on `core`'s queue. The operand types follow
+  /// uk.spec().dtype: float A/B/C for F32, double for F64, and for
+  /// F16/BF16 packed halves (A), pair-interleaved words (B), float C.
+  void kernel(int core, const kernelgen::MicroKernel& uk, const void* a,
+              const void* b, void* c);
   /// Elementwise acc[i] += x[i] on `core`'s queue (reduction merges).
   void add_f32(int core, float* acc, const float* x, std::size_t n);
 
@@ -85,9 +83,7 @@ class HostExecEngine {
 
  private:
   struct Op {
-    enum class Kind : std::uint8_t {
-      Copy, Zero, KernelF32, KernelF64, KernelHalf, Add, Corrupt
-    };
+    enum class Kind : std::uint8_t { Copy, Zero, Kernel, Add, Corrupt };
     Kind kind;
     sim::DmaRequest req;                       // Copy/Corrupt
     const void* src = nullptr;                 // Copy/kernels A / Add x

@@ -1,7 +1,7 @@
 // Mixed-precision FP16/BF16 GEMM on the simulated cluster — the companion
-// to the VFMULAH32 micro-kernels. Implements the M-dimension parallel
-// algorithm (Algorithm 4) with half-width operand tiles: the packed B
-// panel cached in GSM, per-core A/C streaming, ping-pong at every level.
+// to the VFMULAH32 micro-kernels. Runs the M-dimension parallel algorithm
+// (Algorithm 4, run_strategy_m) with half-width operand tiles: the packed
+// B panel cached in GSM, per-core A/C streaming, ping-pong at every level.
 // Accumulation is FP32 throughout (C tiles are FP32 in AM and DDR).
 //
 // Data layout contract (docs/precision.md): A is row-major 16-bit halves;

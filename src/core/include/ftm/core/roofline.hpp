@@ -23,6 +23,8 @@ double roofline_gflops(std::size_t m, std::size_t n, std::size_t k,
 /// dtype-aware variants: the half formats move 2-byte A/B operands (C
 /// stays FP32) and double the compute ceiling (VFMULAH32 is a 2-way dot
 /// product); FP64 doubles operand bytes and halves the ceiling.
+/// peak_scale is that ceiling relative to FP32 (0.5, 1 or 2).
+double peak_scale(kernelgen::DType dtype);
 double min_ddr_bytes(std::size_t m, std::size_t n, std::size_t k,
                      kernelgen::DType dtype);
 double arithmetic_intensity(std::size_t m, std::size_t n, std::size_t k,

@@ -89,10 +89,6 @@ struct FtimmOptions {
   /// of the run's own worker count — used by the batched scheduler, where
   /// other cores run *other* GEMMs concurrently.
   int bandwidth_share = 0;
-  /// K-strategy reduction: false = serial accumulation on core 0 (the
-  /// paper's scheme, cost linear in cores); true = pairwise tree across
-  /// cores (log2(cores) rounds) — an extension/ablation.
-  bool tree_reduction = false;
   /// Batched/runtime scheduling: flops at or above which one problem
   /// occupies a whole cluster (and may be sharded across clusters) instead
   /// of sharing it with other problems of the batch. Must be > 0.

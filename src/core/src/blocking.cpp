@@ -17,6 +17,17 @@ std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 std::size_t am_pitch_floats(std::size_t na) { return ceil_div(na, 32) * 32; }
 
+ElemLayout elem_layout(kernelgen::DType dtype) {
+  switch (dtype) {
+    case kernelgen::DType::F32: return {4, 4, 4, 1, dtype};
+    case kernelgen::DType::F64: return {8, 8, 8, 1, dtype};
+    case kernelgen::DType::F16:
+    case kernelgen::DType::BF16: return {2, 2, 4, 2, dtype};
+  }
+  FTM_ASSERT(false);
+  return {};
+}
+
 double cmr_m_outer(std::size_t ma, std::size_t kg, std::size_t ng,
                    int cores) {
   const double p = cores;
@@ -45,15 +56,19 @@ double cmr_k_inner(std::size_t ma, std::size_t ka, std::size_t na,
          (p * ka * (ma + static_cast<double>(na)) + 2.0 * ma * na);
 }
 
-void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc) {
-  FTM_EXPECTS(b.ms >= 1 && b.na >= 1 && b.na <= 96 && b.ng >= b.na);
-  const std::size_t p = am_pitch_floats(b.na);
+void check_m_blocks(const MBlocks& b, const isa::MachineConfig& mc,
+                    const ElemLayout& l) {
+  FTM_EXPECTS(b.ms >= 1 && b.na >= 1 && b.na <= l.na_max() && b.ng >= b.na);
+  // Interleaved B panels and tiles hold whole k-pair rows.
+  FTM_EXPECTS(b.ka % l.k_per_row == 0 && b.kg % l.k_per_row == 0);
+  const std::size_t p = l.pitch_bytes(b.na);
   // GSM: double-buffered B panel.
-  FTM_EXPECTS(2 * b.kg * b.ng * kFloat <= mc.gsm_bytes);
+  FTM_EXPECTS(2 * (b.kg / l.k_per_row) * b.ng * l.b_row_bytes() <=
+              mc.gsm_bytes);
   // SM: double-buffered A_s slice.
-  FTM_EXPECTS(2 * b.ms * b.ka * kFloat <= mc.sm_bytes);
+  FTM_EXPECTS(2 * b.ms * b.ka * l.a_bytes <= mc.sm_bytes);
   // AM: C_a tile + double-buffered B_a tile.
-  FTM_EXPECTS((b.ma * p + 2 * b.ka * p) * kFloat <= mc.am_bytes);
+  FTM_EXPECTS(b.ma * p + 2 * (b.ka / l.k_per_row) * p <= mc.am_bytes);
   FTM_EXPECTS(b.ms <= b.ma && b.na <= b.ng && b.ka <= b.kg);
 }
 
@@ -184,6 +199,45 @@ MBlocks adjust_m_blocks(MBlocks b, std::size_t m, std::size_t n,
   b.kg = std::max(b.ka, kg);
 
   check_m_blocks(b, mc);
+  return b;
+}
+
+MBlocks fixed_m_blocks(std::size_t m, std::size_t n, std::size_t k,
+                       int cores, const isa::MachineConfig& mc,
+                       const ElemLayout& l) {
+  FTM_EXPECTS(m >= 1 && n >= 1 && k >= 1 && cores >= 1);
+  MBlocks b;
+  b.na = std::min(l.na_max(), n);
+  b.ng = b.na;
+  const std::size_t p = l.pitch_bytes(b.na);
+
+  // Pair-consuming kernels need every tail tile to keep >= 2 k pairs.
+  const std::size_t k_step = l.k_per_row == 1 ? 1 : 2 * l.k_per_row;
+  b.ka = std::min<std::size_t>(k, 512);
+  b.ka = std::max(k_step, round_down(b.ka, k_step));
+  // SM holds two ping-pong A slices of ms x ka elements.
+  std::size_t ms =
+      std::min<std::size_t>(12, mc.sm_bytes / (2 * b.ka * l.a_bytes));
+  if (m >= 6) ms = std::max<std::size_t>(std::min<std::size_t>(ms, 12), 6);
+  b.ms = std::max<std::size_t>(1, std::min(ms, m));
+
+  // AM: C tile of ma rows + two B buffers of ka / k_per_row rows.
+  std::size_t ma_cap = (mc.am_bytes - 2 * (b.ka / l.k_per_row) * p) / p;
+  ma_cap = std::min<std::size_t>(ma_cap, 4096);
+  ma_cap = std::max(ma_cap, b.ms);
+  const std::size_t pcores = static_cast<std::size_t>(cores);
+  std::size_t blocks =
+      std::max(pcores, ceil_div(ceil_div(m, ma_cap), pcores) * pcores);
+  blocks = std::min(blocks, ceil_div(m, b.ms));
+  std::size_t ma = ceil_div(m, std::max<std::size_t>(1, blocks));
+  ma = ceil_div(ma, b.ms) * b.ms;
+  b.ma = std::clamp(ma, b.ms, ma_cap);
+
+  // GSM: two ping-pong B panels of kg x ng elements.
+  std::size_t kg = mc.gsm_bytes / (2 * b.ng * l.b_bytes);
+  kg = std::min(kg, k);
+  if (kg > b.ka) kg = std::max(b.ka, round_down(kg, b.ka));
+  b.kg = std::max(b.ka, kg);
   return b;
 }
 

@@ -1,62 +1,8 @@
 #include "ftm/core/dgemm.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "strategy_common.hpp"
+#include "ftm/core/strategies.hpp"
 
 namespace ftm::core {
-
-using detail::RunCtx;
-
-namespace {
-
-constexpr std::size_t kElem = sizeof(double);
-
-/// FP64 block sizes: the same capacity/CMR reasoning as adjust_m_blocks
-/// with 8-byte elements and 16-lane vectors.
-struct DBlocks {
-  std::size_t kg, ng, ma, na, ka, ms;
-};
-
-DBlocks d_blocks(std::size_t m, std::size_t n, std::size_t k, int cores,
-                 const isa::MachineConfig& mc) {
-  DBlocks b{};
-  b.na = std::min<std::size_t>(48, n);
-  b.ng = b.na;
-  const std::size_t vn = (b.na + 15) / 16;
-  const std::size_t pitch_bytes = vn * 128;
-
-  b.ka = std::min<std::size_t>(k, 512);
-  std::size_t ms =
-      std::min<std::size_t>(12, mc.sm_bytes / (2 * b.ka * kElem));
-  if (m >= 6) ms = std::max<std::size_t>(std::min<std::size_t>(ms, 12), 6);
-  b.ms = std::max<std::size_t>(1, std::min(ms, m));
-
-  std::size_t ma_cap = (mc.am_bytes - 2 * b.ka * pitch_bytes) / pitch_bytes;
-  ma_cap = std::min<std::size_t>(ma_cap, 4096);
-  ma_cap = std::max(ma_cap, b.ms);
-  const std::size_t pcores = static_cast<std::size_t>(cores);
-  std::size_t blocks = std::max(
-      pcores, (((m + ma_cap - 1) / ma_cap + pcores - 1) / pcores) * pcores);
-  blocks = std::min(blocks, (m + b.ms - 1) / b.ms);
-  std::size_t ma = (m + std::max<std::size_t>(1, blocks) - 1) /
-                   std::max<std::size_t>(1, blocks);
-  ma = (ma + b.ms - 1) / b.ms * b.ms;
-  b.ma = std::clamp(ma, b.ms, ma_cap);
-
-  std::size_t kg = mc.gsm_bytes / (2 * b.ng * kElem);
-  kg = std::min(kg, k);
-  if (kg > b.ka) kg = std::max(b.ka, kg - kg % b.ka);
-  b.kg = std::max(b.ka, kg);
-
-  FTM_ENSURES(2 * b.kg * b.ng * kElem <= mc.gsm_bytes);
-  FTM_ENSURES(2 * b.ms * b.ka * kElem <= mc.sm_bytes);
-  FTM_ENSURES(b.ma * pitch_bytes + 2 * b.ka * pitch_bytes <= mc.am_bytes);
-  return b;
-}
-
-}  // namespace
 
 GemmResult dgemm(FtimmEngine& engine, const DGemmInput& in,
                  const FtimmOptions& opt) {
@@ -64,206 +10,16 @@ GemmResult dgemm(FtimmEngine& engine, const DGemmInput& in,
   FTM_EXPECTS(in.n <= 48);  // three 16-lane FP64 vectors
   FTM_EXPECTS(opt.cores >= 1 &&
               opt.cores <= engine.machine().cores_per_cluster);
-  sim::Cluster& cl = engine.cluster();
-  RunCtx ctx(cl, engine.kernels(), opt);
-  const bool fn = ctx.fn;
-  if (fn) {
+  if (opt.functional) {
     FTM_EXPECTS(in.a != nullptr && in.b != nullptr && in.c != nullptr);
   }
-  const int P = opt.cores;
-  const std::size_t M = in.m, N = in.n, K = in.k;
-  const DBlocks db = d_blocks(M, N, K, P, engine.machine());
-  const std::size_t vn = (db.na + 15) / 16;
-  const std::size_t pitch = vn * 16;  // doubles per AM row
-
-  // --- Provisioning (byte sizes; layouts mirror run_strategy_m) ---
-  sim::Region bg[2];
-  for (auto& r : bg) r = cl.gsm().alloc(db.kg * db.ng * kElem);
-  struct PerCore {
-    sim::Region ca, ba[2], as[2];
-  };
-  std::vector<PerCore> pc(P);
-  for (int c = 0; c < P; ++c) {
-    pc[c].ca = cl.core(c).am().alloc(db.ma * pitch * kElem);
-    for (auto& r : pc[c].ba)
-      r = cl.core(c).am().alloc(db.ka * pitch * kElem);
-    for (auto& r : pc[c].as)
-      r = cl.core(c).sm().alloc(db.ms * db.ka * kElem);
-  }
-
-  const std::size_t ntb = (M + db.ma - 1) / db.ma;
-  ctx.set_workers(ntb);
-
-  // Single N panel (N <= 48); flatten the K panel loop for B ping-pong.
-  struct Panel {
-    std::size_t j0, kg_t;
-  };
-  std::vector<Panel> panels;
-  for (std::size_t j0 = 0; j0 < K; j0 += db.kg) {
-    panels.push_back({j0, std::min(db.kg, K - j0)});
-  }
-
-  auto load_bg = [&](std::size_t idx) -> sim::DmaHandle {
-    const Panel& p = panels[idx];
-    sim::DmaRequest req;
-    req.route = sim::DmaRoute::DdrToSpm;
-    req.rows = p.kg_t;
-    req.row_bytes = N * kElem;
-    req.src_stride = in.ldb * kElem;
-    req.dst_stride = db.ng * kElem;
-    // Shared destination: every core reads this GSM panel, so the copy is
-    // serialized against all deferred per-core work (dma_shared).
-    return ctx.dma_shared(
-        0, req,
-        fn ? reinterpret_cast<const std::uint8_t*>(in.b + p.j0 * in.ldb)
-           : nullptr,
-        fn ? cl.gsm().raw(bg[idx % 2].offset, p.kg_t * db.ng * kElem)
-           : nullptr);
-  };
-
-  std::vector<sim::DmaHandle> bg_handle(panels.size());
-  if (!panels.empty()) bg_handle[0] = load_bg(0);
-
-  for (std::size_t pi = 0; pi < panels.size(); ++pi) {
-    const Panel& p = panels[pi];
-    if (pi + 1 < panels.size()) bg_handle[pi + 1] = load_bg(pi + 1);
-    const std::uint64_t bg_ready = cl.timeline(0).done_time(bg_handle[pi]);
-    const std::size_t bg_off = bg[pi % 2].offset;
-
-    for (int core = 0; core < P; ++core) {
-      auto& tl = cl.timeline(core);
-      tl.advance_to(bg_ready);
-      for (std::size_t tb = 0; tb < ntb; ++tb) {
-        if (!detail::owns(core, tb, P)) continue;
-        const std::size_t t0 = tb * db.ma;
-        const std::size_t ma_t = std::min(db.ma, M - t0);
-
-        // C tile in.
-        sim::DmaRequest creq;
-        creq.route = sim::DmaRoute::DdrToSpm;
-        creq.rows = ma_t;
-        creq.row_bytes = N * kElem;
-        creq.src_stride = in.ldc * kElem;
-        creq.dst_stride = pitch * kElem;
-        const auto ch = ctx.dma(
-            core, creq,
-            fn ? reinterpret_cast<const std::uint8_t*>(in.c + t0 * in.ldc)
-               : nullptr,
-            fn ? cl.core(core).am().raw(pc[core].ca.offset,
-                                        ma_t * pitch * kElem)
-               : nullptr);
-
-        const std::size_t njj = (p.kg_t + db.ka - 1) / db.ka;
-        auto load_ba = [&](std::size_t jb) -> sim::DmaHandle {
-          const std::size_t jj = jb * db.ka;
-          const std::size_t ka_t = std::min(db.ka, p.kg_t - jj);
-          sim::DmaRequest req;
-          req.route = sim::DmaRoute::GsmToSpm;
-          req.rows = ka_t;
-          req.row_bytes = N * kElem;
-          req.src_stride = db.ng * kElem;
-          req.dst_stride = pitch * kElem;
-          return ctx.dma(
-              core, req,
-              fn ? cl.gsm().raw(bg_off + jj * db.ng * kElem,
-                                ((ka_t - 1) * db.ng + N) * kElem)
-                 : nullptr,
-              fn ? cl.core(core).am().raw(pc[core].ba[jb % 2].offset,
-                                          ka_t * pitch * kElem)
-                 : nullptr);
-        };
-        sim::DmaHandle bh = load_ba(0);
-        tl.dma_wait(ch);
-
-        for (std::size_t jb = 0; jb < njj; ++jb) {
-          const std::size_t jj = jb * db.ka;
-          const std::size_t ka_t = std::min(db.ka, p.kg_t - jj);
-          tl.dma_wait(bh);
-          if (jb + 1 < njj) bh = load_ba(jb + 1);
-
-          const std::size_t slices = (ma_t + db.ms - 1) / db.ms;
-          auto load_as = [&](std::size_t s) -> sim::DmaHandle {
-            const std::size_t tt = s * db.ms;
-            const std::size_t mrows = std::min(db.ms, ma_t - tt);
-            sim::DmaRequest req;
-            req.route = sim::DmaRoute::DdrToSpm;
-            req.rows = mrows;
-            req.row_bytes = ka_t * kElem;
-            req.src_stride = in.lda * kElem;
-            req.dst_stride = ka_t * kElem;
-            return ctx.dma(
-                core, req,
-                fn ? reinterpret_cast<const std::uint8_t*>(
-                         in.a + (t0 + tt) * in.lda + p.j0 + jj)
-                   : nullptr,
-                fn ? cl.core(core).sm().raw(pc[core].as[s % 2].offset,
-                                            mrows * ka_t * kElem)
-                   : nullptr);
-          };
-          sim::DmaHandle ah = load_as(0);
-          for (std::size_t s = 0; s < slices; ++s) {
-            const std::size_t tt = s * db.ms;
-            const std::size_t mrows = std::min(db.ms, ma_t - tt);
-            tl.dma_wait(ah);
-            if (s + 1 < slices) ah = load_as(s + 1);
-            kernelgen::KernelSpec spec;
-            spec.ms = static_cast<int>(mrows);
-            spec.ka = static_cast<int>(ka_t);
-            spec.na = static_cast<int>(N);
-            spec.dtype = kernelgen::DType::F64;
-            const auto& uk = ctx.cache.get(spec);
-            ctx.kernel_f64(
-                core, uk,
-                fn ? reinterpret_cast<const double*>(cl.core(core).sm().raw(
-                         pc[core].as[s % 2].offset, mrows * ka_t * kElem))
-                   : nullptr,
-                fn ? reinterpret_cast<const double*>(cl.core(core).am().raw(
-                         pc[core].ba[jb % 2].offset, ka_t * pitch * kElem))
-                   : nullptr,
-                fn ? reinterpret_cast<double*>(cl.core(core).am().raw(
-                         pc[core].ca.offset + tt * pitch * kElem,
-                         mrows * pitch * kElem))
-                   : nullptr);
-          }
-        }
-
-        // C tile out.
-        sim::DmaRequest oreq;
-        oreq.route = sim::DmaRoute::SpmToDdr;
-        oreq.rows = ma_t;
-        oreq.row_bytes = N * kElem;
-        oreq.src_stride = pitch * kElem;
-        oreq.dst_stride = in.ldc * kElem;
-        const auto oh = ctx.dma(
-            core, oreq,
-            fn ? cl.core(core).am().raw(pc[core].ca.offset,
-                                        ma_t * pitch * kElem)
-               : nullptr,
-            fn ? reinterpret_cast<std::uint8_t*>(in.c + t0 * in.ldc)
-               : nullptr);
-        tl.dma_wait(oh);
-      }
-    }
-  }
-
-  GemmResult r;
-  ctx.sync();  // C must be fully written before the caller reads it
-  cl.barrier();
-  r.cycles = cl.max_time();
-  r.seconds = cl.cycles_to_seconds(r.cycles);
-  r.gflops = cl.gflops(in.flops(), r.cycles);
-  // FP64 peak is half the FP32 peak.
-  const double peak = engine.machine().core_peak_gflops() / 2.0 *
-                      static_cast<double>(opt.cores);
-  r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
-  r.strategy = Strategy::ParallelM;
-  r.cores = opt.cores;
-  r.ddr_bytes = ctx.ddr_bytes;
-  r.kernel_calls = ctx.kernel_calls;
-  r.host_wall_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - ctx.wall_start_)
-                       .count();
-  return r;
+  const ElemLayout layout = elem_layout(kernelgen::DType::F64);
+  const MOperands op{in.m, in.n, in.k, in.a, in.b, in.c,
+                     in.lda, in.ldb, in.ldc};
+  return run_strategy_m(
+      engine.cluster(), engine.kernels(), op,
+      fixed_m_blocks(in.m, in.n, in.k, opt.cores, engine.machine(), layout),
+      layout, opt);
 }
 
 }  // namespace ftm::core

@@ -29,20 +29,25 @@ void HostExecEngine::run_op(const Op& op) {
     case Op::Kind::Zero:
       std::memset(op.dst, 0, op.n);
       return;
-    case Op::Kind::KernelF32:
-      op.uk->run_fast(static_cast<const float*>(op.src),
-                      static_cast<const float*>(op.src2),
-                      static_cast<float*>(op.dst));
-      return;
-    case Op::Kind::KernelF64:
-      op.uk->run_fast_f64(static_cast<const double*>(op.src),
-                          static_cast<const double*>(op.src2),
-                          static_cast<double*>(op.dst));
-      return;
-    case Op::Kind::KernelHalf:
-      op.uk->run_fast_half(static_cast<const std::uint16_t*>(op.src),
-                           static_cast<const std::uint32_t*>(op.src2),
-                           static_cast<float*>(op.dst));
+    case Op::Kind::Kernel:
+      switch (op.uk->spec().dtype) {
+        case kernelgen::DType::F32:
+          op.uk->run_fast(static_cast<const float*>(op.src),
+                          static_cast<const float*>(op.src2),
+                          static_cast<float*>(op.dst));
+          return;
+        case kernelgen::DType::F64:
+          op.uk->run_fast_f64(static_cast<const double*>(op.src),
+                              static_cast<const double*>(op.src2),
+                              static_cast<double*>(op.dst));
+          return;
+        case kernelgen::DType::F16:
+        case kernelgen::DType::BF16:
+          op.uk->run_fast_half(static_cast<const std::uint16_t*>(op.src),
+                               static_cast<const std::uint32_t*>(op.src2),
+                               static_cast<float*>(op.dst));
+          return;
+      }
       return;
     case Op::Kind::Add:
       kernelgen::hostsimd::add_f32(static_cast<float*>(op.dst),
@@ -82,33 +87,10 @@ void HostExecEngine::zero(int core, void* dst, std::size_t bytes) {
   push(core, op);
 }
 
-void HostExecEngine::kernel_f32(int core, const kernelgen::MicroKernel& uk,
-                                const float* a, const float* b, float* c) {
+void HostExecEngine::kernel(int core, const kernelgen::MicroKernel& uk,
+                            const void* a, const void* b, void* c) {
   Op op;
-  op.kind = Op::Kind::KernelF32;
-  op.uk = &uk;
-  op.src = a;
-  op.src2 = b;
-  op.dst = c;
-  push(core, op);
-}
-
-void HostExecEngine::kernel_f64(int core, const kernelgen::MicroKernel& uk,
-                                const double* a, const double* b, double* c) {
-  Op op;
-  op.kind = Op::Kind::KernelF64;
-  op.uk = &uk;
-  op.src = a;
-  op.src2 = b;
-  op.dst = c;
-  push(core, op);
-}
-
-void HostExecEngine::kernel_half(int core, const kernelgen::MicroKernel& uk,
-                                 const std::uint16_t* a,
-                                 const std::uint32_t* b, float* c) {
-  Op op;
-  op.kind = Op::Kind::KernelHalf;
+  op.kind = Op::Kind::Kernel;
   op.uk = &uk;
   op.src = a;
   op.src2 = b;

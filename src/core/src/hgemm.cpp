@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "ftm/core/roofline.hpp"
+#include "ftm/core/strategies.hpp"
 #include "ftm/util/half.hpp"
-#include "strategy_common.hpp"
 
 namespace ftm::core {
-
-using detail::RunCtx;
 
 void pack_a_half(ConstMatrixView a, std::size_t kp, std::uint16_t* out,
                  kernelgen::DType dtype) {
@@ -45,60 +44,6 @@ void pack_b_half(ConstMatrixView b, std::size_t kp, std::uint32_t* out,
   }
 }
 
-namespace {
-
-/// Half block sizes: the adjust_m_blocks capacity/CMR reasoning with
-/// 2-byte A/B operands, pair-interleaved B rows (half the panel height of
-/// an FP32 panel), and FP32 C tiles.
-struct HBlocks {
-  std::size_t kg, ng, ma, na, ka, ms;
-};
-
-HBlocks h_blocks(std::size_t m, std::size_t n, std::size_t k, int cores,
-                 const isa::MachineConfig& mc) {
-  HBlocks b{};
-  b.na = std::min<std::size_t>(96, n);
-  b.ng = b.na;
-  const std::size_t vn = (b.na + 31) / 32;
-  const std::size_t pitch_bytes = vn * 128;
-
-  // K block: multiple of 4 so every tail tile still has >= 2 k-pairs.
-  b.ka = std::min<std::size_t>(k, 512);
-  b.ka = std::max<std::size_t>(4, b.ka - b.ka % 4);
-  // SM holds two ping-pong A slices of ms x ka halves.
-  std::size_t ms = std::min<std::size_t>(12, mc.sm_bytes / (2 * b.ka * 2));
-  if (m >= 6) ms = std::max<std::size_t>(std::min<std::size_t>(ms, 12), 6);
-  b.ms = std::max<std::size_t>(1, std::min(ms, m));
-
-  // AM: FP32 C tile of ma rows + two B buffers of ka/2 pair rows each.
-  std::size_t ma_cap =
-      (mc.am_bytes - 2 * (b.ka / 2) * pitch_bytes) / pitch_bytes;
-  ma_cap = std::min<std::size_t>(ma_cap, 4096);
-  ma_cap = std::max(ma_cap, b.ms);
-  const std::size_t pcores = static_cast<std::size_t>(cores);
-  std::size_t blocks = std::max(
-      pcores, (((m + ma_cap - 1) / ma_cap + pcores - 1) / pcores) * pcores);
-  blocks = std::min(blocks, (m + b.ms - 1) / b.ms);
-  std::size_t ma = (m + std::max<std::size_t>(1, blocks) - 1) /
-                   std::max<std::size_t>(1, blocks);
-  ma = (ma + b.ms - 1) / b.ms * b.ms;
-  b.ma = std::clamp(ma, b.ms, ma_cap);
-
-  // GSM: two ping-pong B panels of kg/2 pair rows x ng words.
-  std::size_t kg = mc.gsm_bytes / (2 * b.ng * 2);
-  kg = std::min(kg, k);
-  if (kg > b.ka) kg = std::max(b.ka, kg - kg % b.ka);
-  b.kg = std::max(b.ka, kg);
-
-  FTM_ENSURES(2 * (b.kg / 2) * b.ng * 4 <= mc.gsm_bytes);
-  FTM_ENSURES(2 * b.ms * b.ka * 2 <= mc.sm_bytes);
-  FTM_ENSURES(b.ma * pitch_bytes + 2 * (b.ka / 2) * pitch_bytes <=
-              mc.am_bytes);
-  return b;
-}
-
-}  // namespace
-
 GemmResult hgemm(FtimmEngine& engine, const HGemmInput& in,
                  const FtimmOptions& opt) {
   FTM_EXPECTS(in.m >= 1 && in.n >= 1 && in.k >= 4);
@@ -107,207 +52,16 @@ GemmResult hgemm(FtimmEngine& engine, const HGemmInput& in,
   FTM_EXPECTS(kernelgen::is_half(in.dtype));
   FTM_EXPECTS(opt.cores >= 1 &&
               opt.cores <= engine.machine().cores_per_cluster);
-  sim::Cluster& cl = engine.cluster();
-  RunCtx ctx(cl, engine.kernels(), opt);
-  const bool fn = ctx.fn;
-  if (fn) {
+  if (opt.functional) {
     FTM_EXPECTS(in.a != nullptr && in.b != nullptr && in.c != nullptr);
   }
-  const int P = opt.cores;
-  const std::size_t M = in.m, N = in.n, K = in.k;
-  const HBlocks hb = h_blocks(M, N, K, P, engine.machine());
-  const std::size_t vn = (hb.na + 31) / 32;
-  const std::size_t pitch = vn * 32;  // words (B) / floats (C) per AM row
-
-  // --- Provisioning (layouts mirror dgemm / run_strategy_m) ---
-  sim::Region bg[2];
-  for (auto& r : bg) r = cl.gsm().alloc((hb.kg / 2) * hb.ng * 4);
-  struct PerCore {
-    sim::Region ca, ba[2], as[2];
-  };
-  std::vector<PerCore> pc(P);
-  for (int c = 0; c < P; ++c) {
-    pc[c].ca = cl.core(c).am().alloc(hb.ma * pitch * 4);
-    for (auto& r : pc[c].ba)
-      r = cl.core(c).am().alloc((hb.ka / 2) * pitch * 4);
-    for (auto& r : pc[c].as) r = cl.core(c).sm().alloc(hb.ms * hb.ka * 2);
-  }
-
-  const std::size_t ntb = (M + hb.ma - 1) / hb.ma;
-  ctx.set_workers(ntb);
-  FTM_TRACE_COUNTER("kernel.dtype", static_cast<std::uint64_t>(in.dtype));
-
-  // Single N panel (N <= 96); flatten the K panel loop for B ping-pong.
-  // All B strides are in *pair rows* (one pair row covers two k steps).
-  struct Panel {
-    std::size_t j0, kg_t;  // k units
-  };
-  std::vector<Panel> panels;
-  for (std::size_t j0 = 0; j0 < K; j0 += hb.kg) {
-    panels.push_back({j0, std::min(hb.kg, K - j0)});
-  }
-
-  auto load_bg = [&](std::size_t idx) -> sim::DmaHandle {
-    const Panel& p = panels[idx];
-    sim::DmaRequest req;
-    req.route = sim::DmaRoute::DdrToSpm;
-    req.rows = p.kg_t / 2;
-    req.row_bytes = N * 4;
-    req.src_stride = in.ldb * 4;
-    req.dst_stride = hb.ng * 4;
-    return ctx.dma_shared(
-        0, req,
-        fn ? reinterpret_cast<const std::uint8_t*>(in.b +
-                                                   (p.j0 / 2) * in.ldb)
-           : nullptr,
-        fn ? cl.gsm().raw(bg[idx % 2].offset, (p.kg_t / 2) * hb.ng * 4)
-           : nullptr);
-  };
-
-  std::vector<sim::DmaHandle> bg_handle(panels.size());
-  if (!panels.empty()) bg_handle[0] = load_bg(0);
-
-  for (std::size_t pi = 0; pi < panels.size(); ++pi) {
-    const Panel& p = panels[pi];
-    if (pi + 1 < panels.size()) bg_handle[pi + 1] = load_bg(pi + 1);
-    const std::uint64_t bg_ready = cl.timeline(0).done_time(bg_handle[pi]);
-    const std::size_t bg_off = bg[pi % 2].offset;
-
-    for (int core = 0; core < P; ++core) {
-      auto& tl = cl.timeline(core);
-      tl.advance_to(bg_ready);
-      for (std::size_t tb = 0; tb < ntb; ++tb) {
-        if (!detail::owns(core, tb, P)) continue;
-        const std::size_t t0 = tb * hb.ma;
-        const std::size_t ma_t = std::min(hb.ma, M - t0);
-
-        // FP32 C tile in.
-        sim::DmaRequest creq;
-        creq.route = sim::DmaRoute::DdrToSpm;
-        creq.rows = ma_t;
-        creq.row_bytes = N * 4;
-        creq.src_stride = in.ldc * 4;
-        creq.dst_stride = pitch * 4;
-        const auto ch = ctx.dma(
-            core, creq,
-            fn ? reinterpret_cast<const std::uint8_t*>(in.c + t0 * in.ldc)
-               : nullptr,
-            fn ? cl.core(core).am().raw(pc[core].ca.offset, ma_t * pitch * 4)
-               : nullptr);
-
-        const std::size_t njj = (p.kg_t + hb.ka - 1) / hb.ka;
-        auto load_ba = [&](std::size_t jb) -> sim::DmaHandle {
-          const std::size_t jj = jb * hb.ka;
-          const std::size_t ka_t = std::min(hb.ka, p.kg_t - jj);
-          sim::DmaRequest req;
-          req.route = sim::DmaRoute::GsmToSpm;
-          req.rows = ka_t / 2;
-          req.row_bytes = N * 4;
-          req.src_stride = hb.ng * 4;
-          req.dst_stride = pitch * 4;
-          return ctx.dma(
-              core, req,
-              fn ? cl.gsm().raw(bg_off + (jj / 2) * hb.ng * 4,
-                                ((ka_t / 2 - 1) * hb.ng + N) * 4)
-                 : nullptr,
-              fn ? cl.core(core).am().raw(pc[core].ba[jb % 2].offset,
-                                          (ka_t / 2) * pitch * 4)
-                 : nullptr);
-        };
-        sim::DmaHandle bh = load_ba(0);
-        tl.dma_wait(ch);
-
-        for (std::size_t jb = 0; jb < njj; ++jb) {
-          const std::size_t jj = jb * hb.ka;
-          const std::size_t ka_t = std::min(hb.ka, p.kg_t - jj);
-          tl.dma_wait(bh);
-          if (jb + 1 < njj) bh = load_ba(jb + 1);
-
-          const std::size_t slices = (ma_t + hb.ms - 1) / hb.ms;
-          auto load_as = [&](std::size_t s) -> sim::DmaHandle {
-            const std::size_t tt = s * hb.ms;
-            const std::size_t mrows = std::min(hb.ms, ma_t - tt);
-            sim::DmaRequest req;
-            req.route = sim::DmaRoute::DdrToSpm;
-            req.rows = mrows;
-            req.row_bytes = ka_t * 2;
-            req.src_stride = in.lda * 2;
-            req.dst_stride = ka_t * 2;
-            return ctx.dma(
-                core, req,
-                fn ? reinterpret_cast<const std::uint8_t*>(
-                         in.a + (t0 + tt) * in.lda + p.j0 + jj)
-                   : nullptr,
-                fn ? cl.core(core).sm().raw(pc[core].as[s % 2].offset,
-                                            mrows * ka_t * 2)
-                   : nullptr);
-          };
-          sim::DmaHandle ah = load_as(0);
-          for (std::size_t s = 0; s < slices; ++s) {
-            const std::size_t tt = s * hb.ms;
-            const std::size_t mrows = std::min(hb.ms, ma_t - tt);
-            tl.dma_wait(ah);
-            if (s + 1 < slices) ah = load_as(s + 1);
-            kernelgen::KernelSpec spec;
-            spec.ms = static_cast<int>(mrows);
-            spec.ka = static_cast<int>(ka_t);
-            spec.na = static_cast<int>(N);
-            spec.dtype = in.dtype;
-            const auto& uk = ctx.cache.get(spec);
-            ctx.kernel_half(
-                core, uk,
-                fn ? reinterpret_cast<const std::uint16_t*>(
-                         cl.core(core).sm().raw(pc[core].as[s % 2].offset,
-                                                mrows * ka_t * 2))
-                   : nullptr,
-                fn ? reinterpret_cast<const std::uint32_t*>(
-                         cl.core(core).am().raw(pc[core].ba[jb % 2].offset,
-                                                (ka_t / 2) * pitch * 4))
-                   : nullptr,
-                fn ? reinterpret_cast<float*>(cl.core(core).am().raw(
-                         pc[core].ca.offset + tt * pitch * 4,
-                         mrows * pitch * 4))
-                   : nullptr);
-          }
-        }
-
-        // FP32 C tile out.
-        sim::DmaRequest oreq;
-        oreq.route = sim::DmaRoute::SpmToDdr;
-        oreq.rows = ma_t;
-        oreq.row_bytes = N * 4;
-        oreq.src_stride = pitch * 4;
-        oreq.dst_stride = in.ldc * 4;
-        const auto oh = ctx.dma(
-            core, oreq,
-            fn ? cl.core(core).am().raw(pc[core].ca.offset, ma_t * pitch * 4)
-               : nullptr,
-            fn ? reinterpret_cast<std::uint8_t*>(in.c + t0 * in.ldc)
-               : nullptr);
-        tl.dma_wait(oh);
-      }
-    }
-  }
-
-  GemmResult r;
-  ctx.sync();  // C must be fully written before the caller reads it
-  cl.barrier();
-  r.cycles = cl.max_time();
-  r.seconds = cl.cycles_to_seconds(r.cycles);
-  r.gflops = cl.gflops(in.flops(), r.cycles);
-  // Half peak is double the FP32 peak (2-way dot product per lane).
-  const double peak = engine.machine().core_peak_gflops() * 2.0 *
-                      static_cast<double>(opt.cores);
-  r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
-  r.strategy = Strategy::ParallelM;
-  r.cores = opt.cores;
-  r.dtype = in.dtype;
-  r.ddr_bytes = ctx.ddr_bytes;
-  r.kernel_calls = ctx.kernel_calls;
-  r.host_wall_us = std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - ctx.wall_start_)
-                       .count();
-  return r;
+  const ElemLayout layout = elem_layout(in.dtype);
+  const MOperands op{in.m, in.n, in.k, in.a, in.b, in.c,
+                     in.lda, in.ldb, in.ldc};
+  return run_strategy_m(
+      engine.cluster(), engine.kernels(), op,
+      fixed_m_blocks(in.m, in.n, in.k, opt.cores, engine.machine(), layout),
+      layout, opt);
 }
 
 GemmResult hgemm_f32(FtimmEngine& engine, const GemmInput& in,
@@ -361,8 +115,8 @@ GemmResult hgemm_f32(FtimmEngine& engine, const GemmInput& in,
   // Zero-padded K adds no useful flops; report rates for the true shape.
   r.seconds = engine.cluster().cycles_to_seconds(r.cycles);
   r.gflops = engine.cluster().gflops(in.flops(), r.cycles);
-  const double peak = engine.machine().core_peak_gflops() * 2.0 *
-                      static_cast<double>(opt.cores);
+  const double peak = engine.machine().core_peak_gflops() *
+                      peak_scale(opt.dtype) * static_cast<double>(opt.cores);
   r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
   return r;
 }

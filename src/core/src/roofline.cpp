@@ -29,11 +29,12 @@ double operand_bytes(kernelgen::DType dtype) {
   if (dtype == kernelgen::DType::F64) return 8.0;
   return kernelgen::is_half(dtype) ? 2.0 : 4.0;
 }
+}  // namespace
+
 double peak_scale(kernelgen::DType dtype) {
   if (dtype == kernelgen::DType::F64) return 0.5;
   return kernelgen::is_half(dtype) ? 2.0 : 1.0;
 }
-}  // namespace
 
 double min_ddr_bytes(std::size_t m, std::size_t n, std::size_t k,
                      kernelgen::DType dtype) {

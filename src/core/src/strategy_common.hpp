@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "ftm/core/exec.hpp"
+#include "ftm/core/roofline.hpp"
 #include "ftm/core/types.hpp"
 #include "ftm/kernelgen/hostsimd.hpp"
 #include "ftm/kernelgen/microkernel.hpp"
@@ -143,12 +144,13 @@ struct RunCtx {
   /// Charge a micro-kernel execution on `core`'s timeline; defers the
   /// math onto `core`'s op queue in functional mode. The charged cycles
   /// are the calibrated cost either way (run_fast returns cost_only()),
-  /// so deferring the math cannot move a single simulated cycle.
-  void kernel(int core, const kernelgen::MicroKernel& uk, const float* a,
-              const float* b, float* c) {
+  /// so deferring the math cannot move a single simulated cycle. Operand
+  /// types follow uk.spec().dtype (HostExecEngine::kernel).
+  void kernel(int core, const kernelgen::MicroKernel& uk, const void* a,
+              const void* b, void* c) {
     ++kernel_calls;
     const std::uint64_t cycles = uk.cost_only();
-    if (fn) exec.kernel_f32(core, uk, a, b, c);
+    if (fn) exec.kernel(core, uk, a, b, c);
 #if FTM_TRACE_ENABLED
     if (trace_ != nullptr) {
       const sim::ExecResult& calib = uk.calibration();
@@ -170,24 +172,6 @@ struct RunCtx {
     }
 #endif
     cl.timeline(core).compute(cycles);
-  }
-
-  /// FP64 variant (dgemm); charges timing identically, no trace span —
-  /// matching the pre-engine dgemm behavior.
-  void kernel_f64(int core, const kernelgen::MicroKernel& uk,
-                  const double* a, const double* b, double* c) {
-    ++kernel_calls;
-    if (fn) exec.kernel_f64(core, uk, a, b, c);
-    cl.timeline(core).compute(uk.cost_only());
-  }
-
-  /// FP16/BF16 variant (hgemm): A is packed halves in SM, B the
-  /// pair-interleaved AM panel, C FP32.
-  void kernel_half(int core, const kernelgen::MicroKernel& uk,
-                   const std::uint16_t* a, const std::uint32_t* b, float* c) {
-    ++kernel_calls;
-    if (fn) exec.kernel_half(core, uk, a, b, c);
-    cl.timeline(core).compute(uk.cost_only());
   }
 
   /// Phase spans (ping-pong C-tile rounds, the K-strategy reduction...):
@@ -222,18 +206,22 @@ struct RunCtx {
 #endif
   }
 
-  GemmResult finish(const GemmInput& in, Strategy s) {
+  /// Closes the run: efficiency is against the peak of `dtype` (half the
+  /// FP32 peak for F64, double for the DOT2 half formats).
+  GemmResult finish(std::size_t m, std::size_t n, std::size_t k, Strategy s,
+                    kernelgen::DType dtype = kernelgen::DType::F32) {
     exec.flush();  // C must be fully written before the caller reads it
     cl.barrier();
     GemmResult r;
     r.cycles = cl.max_time();
     r.seconds = cl.cycles_to_seconds(r.cycles);
-    r.gflops = cl.gflops(in.flops(), r.cycles);
-    const double peak =
-        cl.machine().core_peak_gflops() * static_cast<double>(opt.cores);
+    r.gflops = cl.gflops(2.0 * m * n * k, r.cycles);
+    const double peak = cl.machine().core_peak_gflops() * peak_scale(dtype) *
+                        static_cast<double>(opt.cores);
     r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
     r.strategy = s;
     r.cores = opt.cores;
+    r.dtype = dtype;
     r.ddr_bytes = ddr_bytes;
     r.kernel_calls = kernel_calls;
     r.host_wall_us =
@@ -249,9 +237,9 @@ struct RunCtx {
       e.dur = r.cycles;
       e.cluster = cl.id();
       e.track = trace::TrackKind::Cluster;
-      e.arg("m", in.m);
-      e.arg("n", in.n);
-      e.arg("k", in.k);
+      e.arg("m", m);
+      e.arg("n", n);
+      e.arg("k", k);
       trace_->record(e);
       trace_->count("gemm.calls");
       trace_->count("gemm.cycles", r.cycles);

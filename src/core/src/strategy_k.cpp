@@ -47,17 +47,11 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
     for (auto& r : pc[c].as)
       r = cl.core(c).sm().alloc(kb.ms * kb.ka * sizeof(float));
   }
-  // Reduction chunk buffers. The serial scheme only uses core 0's pair;
-  // the tree scheme needs them on every core.
-  std::vector<sim::Region> racc_r(P), rpart_r(P);
-  for (int c = 0; c < P; ++c) {
-    racc_r[c] =
-        cl.core(c).am().alloc(kb.reduce_rows * pitch_max * sizeof(float));
-    rpart_r[c] =
-        cl.core(c).am().alloc(kb.reduce_rows * pitch_max * sizeof(float));
-  }
-  const sim::Region racc = racc_r[0];
-  const sim::Region rpart = rpart_r[0];
+  // Core 0's reduction chunk buffers.
+  const sim::Region racc =
+      cl.core(0).am().alloc(kb.reduce_rows * pitch_max * sizeof(float));
+  const sim::Region rpart =
+      cl.core(0).am().alloc(kb.reduce_rows * pitch_max * sizeof(float));
 
   const std::size_t nkb = (K + kb.ka - 1) / kb.ka;  // parallel k blocks
   ctx.set_workers(nkb);
@@ -202,77 +196,9 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
           cl.barrier();
           ctx.sync();  // staged partials must land before anyone reads them
 
-          // --- Optional pairwise tree combine (extension/ablation): after
-          // log2(W) parallel rounds stage[0] holds the sum of all partials.
-          const bool tree = opt.tree_reduction && W > 1;
-          if (tree) {
-            for (int step = 1; step < W; step *= 2) {
-              for (int i = 0; i + step < W; i += 2 * step) {
-                auto& tli = cl.timeline(i);
-                const std::uint64_t tph0 = ctx.phase_begin(i);
-                for (std::size_t r0 = 0; r0 < ma_t; r0 += kb.reduce_rows) {
-                  const std::size_t rows =
-                      std::min(kb.reduce_rows, ma_t - r0);
-                  sim::DmaRequest req;
-                  req.route = sim::DmaRoute::GsmToSpm;
-                  req.rows = rows;
-                  req.row_bytes = pitch * sizeof(float);
-                  req.src_stride = pitch * sizeof(float);
-                  req.dst_stride = pitch * sizeof(float);
-                  const auto ha = ctx.dma(
-                      i, req,
-                      fn ? cl.gsm().raw(stage[i].offset +
-                                            r0 * pitch * sizeof(float),
-                                        rows * pitch * sizeof(float))
-                         : nullptr,
-                      fn ? cl.core(i).am().raw(racc_r[i].offset,
-                                               rows * pitch * sizeof(float))
-                         : nullptr);
-                  const auto hb = ctx.dma(
-                      i, req,
-                      fn ? cl.gsm().raw(stage[i + step].offset +
-                                            r0 * pitch * sizeof(float),
-                                        rows * pitch * sizeof(float))
-                         : nullptr,
-                      fn ? cl.core(i).am().raw(rpart_r[i].offset,
-                                               rows * pitch * sizeof(float))
-                         : nullptr);
-                  FTM_TRACE_COUNTER("reduce.gsm_bytes",
-                                    2 * req.total_bytes());
-                  ctx.wait(i, ha);
-                  ctx.wait(i, hb);
-                  if (fn) {
-                    ctx.exec.add_f32(
-                        i, cl.core(i).am().f32(racc_r[i].offset, rows * pitch),
-                        cl.core(i).am().f32(rpart_r[i].offset, rows * pitch),
-                        rows * pitch);
-                  }
-                  tli.compute(rows * pitch / 32 + 1);
-                  sim::DmaRequest wreq = req;
-                  wreq.route = sim::DmaRoute::SpmToGsm;
-                  const auto hw = ctx.dma(
-                      i, wreq,
-                      fn ? cl.core(i).am().raw(racc_r[i].offset,
-                                               rows * pitch * sizeof(float))
-                         : nullptr,
-                      fn ? cl.gsm().raw(stage[i].offset +
-                                            r0 * pitch * sizeof(float),
-                                        rows * pitch * sizeof(float))
-                         : nullptr);
-                  FTM_TRACE_COUNTER("reduce.gsm_bytes", wreq.total_bytes());
-                  ctx.wait(i, hw);
-                }
-                ctx.phase_end(i, "tree-combine", tph0);
-              }
-              cl.barrier();
-              ctx.sync();  // round r+1 reads stage slots round r wrote
-            }
-          }
-          const int merge_parts = tree ? 1 : W;
-
-          // --- Final merge on core 0: original C plus the partial(s);
-          // serial in the core count for the paper's scheme, which is
-          // exactly the overhead it attributes to this strategy ---
+          // --- Final merge on core 0: original C plus every partial;
+          // serial in the core count, which is exactly the overhead the
+          // paper attributes to this strategy ---
           auto& tl0 = cl.timeline(0);
           tl0.advance_to(cg_ready);
           const std::uint64_t rph0 = ctx.phase_begin(0);
@@ -298,7 +224,7 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
             ctx.wait(0, lh);
             float* accbuf =
                 fn ? cl.core(0).am().f32(racc.offset, rows * pitch) : nullptr;
-            for (int p = 0; p < merge_parts; ++p) {
+            for (int p = 0; p < W; ++p) {
               sim::DmaRequest preq;
               preq.route = sim::DmaRoute::GsmToSpm;
               preq.rows = rows;
@@ -346,7 +272,7 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
     }
   }
 
-  return ctx.finish(in, Strategy::ParallelK);
+  return ctx.finish(in.m, in.n, in.k, Strategy::ParallelK);
 }
 
 }  // namespace ftm::core

@@ -8,6 +8,15 @@ namespace ftm::core {
 
 using detail::RunCtx;
 
+GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
+                          const GemmInput& in, const MBlocks& mb,
+                          const FtimmOptions& opt) {
+  const MOperands op{in.m,        in.n,        in.k,
+                     in.a.data(), in.b.data(), in.c.data(),
+                     in.a.ld(),   in.b.ld(),   in.c.ld()};
+  return run_strategy_m(cl, cache, op, mb, ElemLayout{}, opt);
+}
+
 // Algorithm 4: M-dimension parallelization.
 //   for i (n_g blocks of N)
 //     for j (k_g blocks of K)           <- B panel -> GSM, ping-pong
@@ -18,29 +27,35 @@ using detail::RunCtx;
 //             for tt (m_s slices)       <- A_s DDR -> SM, ping-pong
 //               micro-kernel (exact n_a, no padding)
 //           C tile -> DDR
+// Every size below is in bytes of the layout's elements; a B row covers
+// `kr` k steps, so B row counts and offsets along K are divided by kr.
 GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
-                          const GemmInput& in, const MBlocks& mb,
-                          const FtimmOptions& opt) {
-  check_m_blocks(mb, cl.machine());
+                          const MOperands& in, const MBlocks& mb,
+                          const ElemLayout& l, const FtimmOptions& opt) {
+  check_m_blocks(mb, cl.machine(), l);
   RunCtx ctx(cl, cache, opt);
   const bool fn = ctx.fn;
   const int P = opt.cores;
   const std::size_t M = in.m, N = in.n, K = in.k;
-  const std::size_t pitch_max = am_pitch_floats(mb.na);
+  const std::size_t kr = l.k_per_row, ab = l.a_bytes, cb = l.c_bytes;
+  const std::size_t brow = l.b_row_bytes();
+  const std::size_t pitch_max = l.pitch_bytes(mb.na);
+  const auto* A = static_cast<const std::uint8_t*>(in.a);
+  const auto* B = static_cast<const std::uint8_t*>(in.b);
+  auto* C = static_cast<std::uint8_t*>(in.c);
 
   // --- Provisioning ---
   sim::Region bg[2];
-  for (auto& r : bg) r = cl.gsm().alloc(mb.kg * mb.ng * sizeof(float));
+  for (auto& r : bg) r = cl.gsm().alloc(mb.kg / kr * mb.ng * brow);
   struct PerCore {
     sim::Region ca, ba[2], as[2];
   };
   std::vector<PerCore> pc(P);
   for (int c = 0; c < P; ++c) {
-    pc[c].ca = cl.core(c).am().alloc(mb.ma * pitch_max * sizeof(float));
+    pc[c].ca = cl.core(c).am().alloc(mb.ma * pitch_max);
     for (auto& r : pc[c].ba)
-      r = cl.core(c).am().alloc(mb.ka * pitch_max * sizeof(float));
-    for (auto& r : pc[c].as)
-      r = cl.core(c).sm().alloc(mb.ms * mb.ka * sizeof(float));
+      r = cl.core(c).am().alloc(mb.ka / kr * pitch_max);
+    for (auto& r : pc[c].as) r = cl.core(c).sm().alloc(mb.ms * mb.ka * ab);
   }
 
   struct Panel {
@@ -58,16 +73,16 @@ GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
     const Panel& p = panels[idx];
     sim::DmaRequest req;
     req.route = sim::DmaRoute::DdrToSpm;
-    req.rows = p.kg_t;
-    req.row_bytes = p.ng_t * sizeof(float);
-    req.src_stride = in.b.ld() * sizeof(float);
-    req.dst_stride = p.ng_t * sizeof(float);
+    req.rows = p.kg_t / kr;
+    req.row_bytes = p.ng_t * brow;
+    req.src_stride = in.ldb * brow;
+    req.dst_stride = p.ng_t * brow;
     // Shared destination: every core reads this GSM panel, so the copy is
     // serialized against all deferred per-core work (dma_shared).
-    return ctx.dma_shared(0, req, detail::host_src(in.b, p.j0, p.i0, fn),
-                          fn ? cl.gsm().raw(bg[idx % 2].offset,
-                                            p.kg_t * p.ng_t * sizeof(float))
-                             : nullptr);
+    return ctx.dma_shared(
+        0, req, fn ? B + (p.j0 / kr * in.ldb + p.i0) * brow : nullptr,
+        fn ? cl.gsm().raw(bg[idx % 2].offset, p.kg_t / kr * p.ng_t * brow)
+           : nullptr);
   };
 
   const std::size_t ntb = (M + mb.ma - 1) / mb.ma;  // parallel t blocks
@@ -85,6 +100,8 @@ GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
     for (int core = 0; core < P; ++core) {
       auto& tl = cl.timeline(core);
       tl.advance_to(bg_ready);
+      sim::Scratchpad& am = cl.core(core).am();
+      sim::Scratchpad& sm = cl.core(core).sm();
 
       for (std::size_t tb = 0; tb < ntb; ++tb) {
         if (!detail::owns(core, tb, P)) continue;
@@ -93,41 +110,39 @@ GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
 
         for (std::size_t ii = 0; ii < p.ng_t; ii += mb.na) {
           const std::size_t na_t = std::min(mb.na, p.ng_t - ii);
-          const std::size_t pitch = am_pitch_floats(na_t);
+          const std::size_t pitch = l.pitch_bytes(na_t);
+          std::uint8_t* c_tile =
+              fn ? C + (t0 * in.ldc + p.i0 + ii) * cb : nullptr;
+          std::uint8_t* ca =
+              fn ? am.raw(pc[core].ca.offset, ma_t * pitch) : nullptr;
           const std::uint64_t ph0 = ctx.phase_begin(core);
 
           // C tile in.
           sim::DmaRequest creq;
           creq.route = sim::DmaRoute::DdrToSpm;
           creq.rows = ma_t;
-          creq.row_bytes = na_t * sizeof(float);
-          creq.src_stride = in.c.ld() * sizeof(float);
-          creq.dst_stride = pitch * sizeof(float);
-          const auto ch = ctx.dma(
-              core, creq, detail::host_src(in.c, t0, p.i0 + ii, fn),
-              fn ? cl.core(core).am().raw(pc[core].ca.offset,
-                                          ma_t * pitch * sizeof(float))
-                 : nullptr);
+          creq.row_bytes = na_t * cb;
+          creq.src_stride = in.ldc * cb;
+          creq.dst_stride = pitch;
+          const auto ch = ctx.dma(core, creq, c_tile, ca);
 
           // B_a tiles from GSM, ping-ponged over jj.
           const std::size_t njj = (p.kg_t + mb.ka - 1) / mb.ka;
           auto load_ba = [&](std::size_t jb) -> sim::DmaHandle {
             const std::size_t jj = jb * mb.ka;
-            const std::size_t ka_t = std::min(mb.ka, p.kg_t - jj);
+            const std::size_t rows = std::min(mb.ka, p.kg_t - jj) / kr;
             sim::DmaRequest req;
             req.route = sim::DmaRoute::GsmToSpm;
-            req.rows = ka_t;
-            req.row_bytes = na_t * sizeof(float);
-            req.src_stride = p.ng_t * sizeof(float);
-            req.dst_stride = pitch * sizeof(float);
+            req.rows = rows;
+            req.row_bytes = na_t * brow;
+            req.src_stride = p.ng_t * brow;
+            req.dst_stride = pitch;
             return ctx.dma(
                 core, req,
-                fn ? cl.gsm().raw(
-                         bg_off + (jj * p.ng_t + ii) * sizeof(float),
-                         ((ka_t - 1) * p.ng_t + na_t) * sizeof(float))
+                fn ? cl.gsm().raw(bg_off + (jj / kr * p.ng_t + ii) * brow,
+                                  ((rows - 1) * p.ng_t + na_t) * brow)
                    : nullptr,
-                fn ? cl.core(core).am().raw(pc[core].ba[jb % 2].offset,
-                                            ka_t * pitch * sizeof(float))
+                fn ? am.raw(pc[core].ba[jb % 2].offset, rows * pitch)
                    : nullptr);
           };
           sim::DmaHandle bh = load_ba(0);
@@ -147,15 +162,14 @@ GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
               sim::DmaRequest req;
               req.route = sim::DmaRoute::DdrToSpm;
               req.rows = mrows;
-              req.row_bytes = ka_t * sizeof(float);
-              req.src_stride = in.a.ld() * sizeof(float);
-              req.dst_stride = ka_t * sizeof(float);
-              return ctx.dma(core, req,
-                             detail::host_src(in.a, t0 + tt, p.j0 + jj, fn),
-                             fn ? cl.core(core).sm().raw(
-                                      pc[core].as[s % 2].offset,
-                                      mrows * ka_t * sizeof(float))
-                                : nullptr);
+              req.row_bytes = ka_t * ab;
+              req.src_stride = in.lda * ab;
+              req.dst_stride = ka_t * ab;
+              return ctx.dma(
+                  core, req,
+                  fn ? A + ((t0 + tt) * in.lda + p.j0 + jj) * ab : nullptr,
+                  fn ? sm.raw(pc[core].as[s % 2].offset, mrows * ka_t * ab)
+                     : nullptr);
             };
             sim::DmaHandle ah = load_as(0);
             for (std::size_t s = 0; s < slices; ++s) {
@@ -167,18 +181,15 @@ GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
               spec.ms = static_cast<int>(mrows);
               spec.ka = static_cast<int>(ka_t);
               spec.na = static_cast<int>(na_t);
+              spec.dtype = l.dtype;
               const auto& uk = ctx.cache.get(spec);
               ctx.kernel(
                   core, uk,
-                  fn ? cl.core(core).sm().f32(pc[core].as[s % 2].offset,
-                                              mrows * ka_t)
+                  fn ? sm.raw(pc[core].as[s % 2].offset, mrows * ka_t * ab)
                      : nullptr,
-                  fn ? cl.core(core).am().f32(pc[core].ba[jb % 2].offset,
-                                              ka_t * pitch)
+                  fn ? am.raw(pc[core].ba[jb % 2].offset, ka_t / kr * pitch)
                      : nullptr,
-                  fn ? cl.core(core).am().f32(
-                           pc[core].ca.offset + tt * pitch * sizeof(float),
-                           mrows * pitch)
+                  fn ? am.raw(pc[core].ca.offset + tt * pitch, mrows * pitch)
                      : nullptr);
             }
           }
@@ -187,23 +198,17 @@ GemmResult run_strategy_m(sim::Cluster& cl, kernelgen::KernelCache& cache,
           sim::DmaRequest oreq;
           oreq.route = sim::DmaRoute::SpmToDdr;
           oreq.rows = ma_t;
-          oreq.row_bytes = na_t * sizeof(float);
-          oreq.src_stride = pitch * sizeof(float);
-          oreq.dst_stride = in.c.ld() * sizeof(float);
-          const auto oh = ctx.dma(
-              core, oreq,
-              fn ? cl.core(core).am().raw(pc[core].ca.offset,
-                                          ma_t * pitch * sizeof(float))
-                 : nullptr,
-              detail::host_dst(in.c, t0, p.i0 + ii, fn));
-          ctx.wait(core, oh);
+          oreq.row_bytes = na_t * cb;
+          oreq.src_stride = pitch;
+          oreq.dst_stride = in.ldc * cb;
+          ctx.wait(core, ctx.dma(core, oreq, ca, c_tile));
           ctx.phase_end(core, "c-tile", ph0);
         }
       }
     }
   }
 
-  return ctx.finish(in, Strategy::ParallelM);
+  return ctx.finish(M, N, K, Strategy::ParallelM, l.dtype);
 }
 
 }  // namespace ftm::core

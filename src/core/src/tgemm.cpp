@@ -203,7 +203,7 @@ GemmResult run_tgemm(sim::Cluster& cl, kernelgen::KernelCache& cache,
     }
   }
 
-  return ctx.finish(in, Strategy::TGemm);
+  return ctx.finish(in.m, in.n, in.k, Strategy::TGemm);
 }
 
 }  // namespace ftm::core

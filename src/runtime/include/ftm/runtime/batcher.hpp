@@ -67,7 +67,6 @@ class Batcher {
     int force = 0;  ///< core::Strategy as int, to keep the key POD-simple
     bool dynamic_blocks = true;
     bool pingpong = true;
-    bool tree_reduction = false;
 
     friend bool operator<(const Key& a, const Key& b) {
       if (!(a.cls == b.cls)) return a.cls < b.cls;
@@ -76,8 +75,7 @@ class Batcher {
       if (a.dynamic_blocks != b.dynamic_blocks) {
         return a.dynamic_blocks < b.dynamic_blocks;
       }
-      if (a.pingpong != b.pingpong) return a.pingpong < b.pingpong;
-      return a.tree_reduction < b.tree_reduction;
+      return a.pingpong < b.pingpong;
     }
   };
 

@@ -38,7 +38,6 @@ Batcher::Key Batcher::key_of(const Request& r) {
   k.force = static_cast<int>(r.opt.force);
   k.dynamic_blocks = r.opt.dynamic_blocks;
   k.pingpong = r.opt.pingpong;
-  k.tree_reduction = r.opt.tree_reduction;
   return k;
 }
 

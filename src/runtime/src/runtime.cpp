@@ -365,8 +365,12 @@ void GemmRuntime::flusher_loop() {
       std::max(0.05, ro_.batching.max_delay_ms / 2));
   std::unique_lock<std::mutex> lock(flusher_mu_);
   for (;;) {
-    flusher_cv_.wait_for(lock, tick);
-    if (flusher_stop_) return;
+    // The predicate also catches a stop requested before this thread first
+    // waited; an unguarded wait would sleep a whole tick (days when
+    // max_delay_ms is huge) and hang the destructor's join.
+    if (flusher_cv_.wait_for(lock, tick, [&] { return flusher_stop_; })) {
+      return;
+    }
     lock.unlock();
     for (auto& f : batcher_->take_aged(std::chrono::steady_clock::now())) {
       dispatch_batch(std::move(f));
@@ -902,9 +906,6 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     rs.strategy = result.strategy;
     rs.dtype = result.dtype;
     rs.strassen_levels = result.strassen_levels;
-    if (result.dtype != kernelgen::DType::F32) {
-      FTM_TRACE_COUNTER("kernel.dtype", static_cast<int>(result.dtype));
-    }
     if (result.strassen_levels > 0) {
       FTM_TRACE_COUNTER("strassen.levels", result.strassen_levels);
     }

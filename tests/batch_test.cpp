@@ -53,6 +53,18 @@ TEST(Batch, FlushOnAgeResolvesSingleRequest) {
   EXPECT_TRUE(found);
 }
 
+// Destroying a runtime right after construction must not wait out the
+// flusher's tick: a stop issued before the flusher thread first waits used
+// to be missed, leaving the join asleep for max_delay_ms / 2 (days here).
+TEST(Batch, ImmediateShutdownWithLongAgeBudget) {
+  RuntimeOptions ro;
+  ro.clusters = 1;
+  ro.gemm.functional = false;
+  ro.batching.enabled = true;
+  ro.batching.max_delay_ms = 1e9;
+  for (int i = 0; i < 200; ++i) GemmRuntime rt(ro);
+}
+
 // Priority-scaled admission bounds: with max_queue = 8 and the batcher
 // holding everything (no flush trigger can fire), Bulk sheds at depth 4,
 // Normal at 8, and Latency is still admitted past both.

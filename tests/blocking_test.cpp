@@ -44,6 +44,32 @@ TEST(Blocks, OverflowingBlocksRejected) {
   EXPECT_THROW(check_t_blocks(tb, mc()), ContractViolation);
 }
 
+TEST(Blocks, FixedMBlocksFitEveryLayout) {
+  // The dgemm/hgemm blocks pass the layout-aware audit across the shape
+  // taxonomy, and half K tiles keep whole k pairs (ka a multiple of 4).
+  for (const kernelgen::DType dt :
+       {kernelgen::DType::F64, kernelgen::DType::F16}) {
+    const ElemLayout l = elem_layout(dt);
+    const std::size_t ms[] = {1, 17, 4096, 262144};
+    const std::size_t ns[] = {1, 32, l.na_max()};
+    const std::size_t ks[] = {4, 36, 512, 262144};
+    for (const std::size_t m : ms)
+      for (const std::size_t n : ns)
+        for (const std::size_t k : ks) {
+          const MBlocks b = fixed_m_blocks(m, n, k, 8, mc(), l);
+          EXPECT_NO_THROW(check_m_blocks(b, mc(), l))
+              << m << "x" << n << "x" << k;
+          EXPECT_EQ(b.na, n);
+          EXPECT_EQ(b.ka % (l.k_per_row == 2 ? 4 : 1), 0u);
+        }
+  }
+  // A half tile that splits a k pair is rejected.
+  const ElemLayout half = elem_layout(kernelgen::DType::F16);
+  MBlocks odd = fixed_m_blocks(64, 32, 64, 8, mc(), half);
+  odd.ka = 63;
+  EXPECT_THROW(check_m_blocks(odd, mc(), half), ContractViolation);
+}
+
 TEST(Blocks, InitialMBlocksMaximizeWithinCapacity) {
   const MBlocks b = initial_m_blocks(mc());
   EXPECT_NO_THROW(check_m_blocks(b, mc()));

@@ -474,6 +474,10 @@ TEST(GraphExecutorTest, FaultInjectedNodeRetriesThroughRuntime) {
   ro.fault_injector = &injector;
   ro.resilience.enabled = true;
   ro.resilience.max_retries = 3;
+  // Without stealing the first node binds to the least-loaded cluster,
+  // cluster 0 on a tie, so it reaches the dead cluster whichever worker
+  // thread wakes first.
+  ro.work_stealing = false;
   runtime::GemmRuntime rt(ro);
   GraphExecutor ex(rt);
   const GraphResult gr = ex.run(mlp.g, mlp.bindings());

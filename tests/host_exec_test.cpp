@@ -296,12 +296,12 @@ struct GemmRun {
   std::vector<float> c;
 };
 
-GemmRun run_f32(Strategy force, bool tree, std::size_t m, std::size_t n,
-                std::size_t k, TaskPool* pool) {
+GemmRun run_sgemm(Strategy force, kernelgen::DType dtype, std::size_t m,
+                  std::size_t n, std::size_t k, TaskPool* pool) {
   workload::GemmProblem p = workload::make_problem(m, n, k, 2026);
   FtimmOptions opt;
   opt.force = force;
-  opt.tree_reduction = tree;
+  opt.dtype = dtype;
   opt.host_pool = pool;
   const GemmResult r = force == Strategy::TGemm
                            ? engine().tgemm(
@@ -339,33 +339,34 @@ GemmRun run_f64(std::size_t m, std::size_t n, std::size_t k, TaskPool* pool) {
   return out;
 }
 
-/// The engine's core guarantee: for every strategy, running with no pool,
-/// a 2-way pool, and an 8-way pool yields byte-identical C and the exact
-/// same simulated cycle count.
+/// The engine's core guarantee: for every strategy and kernel dtype,
+/// running with no pool, a 2-way pool, and an 8-way pool yields
+/// byte-identical C and the exact same simulated cycle count.
 TEST(HostExecEngine, CyclesAndOutputIndependentOfPoolSize) {
   TaskPool pool2(2), pool8(8);
   struct Case {
     Strategy force;
-    bool tree;
+    kernelgen::DType dtype;
     std::size_t m, n, k;
   };
   const Case cases[] = {
-      {Strategy::TGemm, false, 300, 200, 150},
-      {Strategy::ParallelM, false, 2048, 32, 64},
-      {Strategy::ParallelK, false, 32, 32, 4096},
-      {Strategy::ParallelK, true, 48, 24, 3000},  // tree reduction
+      {Strategy::TGemm, kernelgen::DType::F32, 300, 200, 150},
+      {Strategy::ParallelM, kernelgen::DType::F32, 2048, 32, 64},
+      {Strategy::ParallelK, kernelgen::DType::F32, 32, 32, 4096},
+      {Strategy::Auto, kernelgen::DType::F16, 333, 64, 700},
   };
   for (const Case& cs : cases) {
-    const GemmRun base = run_f32(cs.force, cs.tree, cs.m, cs.n, cs.k,
-                                 nullptr);
+    const GemmRun base =
+        run_sgemm(cs.force, cs.dtype, cs.m, cs.n, cs.k, nullptr);
     for (TaskPool* pool : {&pool2, &pool8}) {
-      const GemmRun run = run_f32(cs.force, cs.tree, cs.m, cs.n, cs.k, pool);
+      const GemmRun run = run_sgemm(cs.force, cs.dtype, cs.m, cs.n, cs.k,
+                                    pool);
       EXPECT_EQ(run.cycles, base.cycles)
           << to_string(cs.force) << " pool=" << pool->parallelism();
       ASSERT_EQ(std::memcmp(run.c.data(), base.c.data(),
                             base.c.size() * sizeof(float)),
                 0)
-          << to_string(cs.force) << " tree=" << cs.tree
+          << to_string(cs.force) << " " << kernelgen::to_string(cs.dtype)
           << " pool=" << pool->parallelism();
     }
   }
@@ -389,11 +390,11 @@ TEST(HostExecEngine, DgemmIndependentOfPoolSize) {
 TEST(HostExecEngine, OutputIndependentOfSimdTier) {
   TierGuard guard;
   hostsimd::set_active_tier(hostsimd::best_tier());
-  const GemmRun simd =
-      run_f32(Strategy::ParallelM, false, 1024, 48, 96, nullptr);
+  const GemmRun simd = run_sgemm(Strategy::ParallelM, kernelgen::DType::F32,
+                                 1024, 48, 96, nullptr);
   hostsimd::set_active_tier(Tier::Scalar);
-  const GemmRun scalar =
-      run_f32(Strategy::ParallelM, false, 1024, 48, 96, nullptr);
+  const GemmRun scalar = run_sgemm(
+      Strategy::ParallelM, kernelgen::DType::F32, 1024, 48, 96, nullptr);
   EXPECT_EQ(simd.cycles, scalar.cycles);
   ASSERT_EQ(std::memcmp(simd.c.data(), scalar.c.data(),
                         simd.c.size() * sizeof(float)),

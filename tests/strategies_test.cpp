@@ -215,56 +215,6 @@ TEST(Performance, MultiCoreScalesForTypeOne) {
   EXPECT_LT(speedup, 8.01);
 }
 
-TEST(TreeReduction, MatchesReferenceAcrossCoreCounts) {
-  for (int cores : {2, 3, 5, 8}) {
-    workload::GemmProblem p = workload::make_problem(64, 32, 8192, 99);
-    HostMatrix expect(64, 32);
-    for (std::size_t i = 0; i < 64; ++i)
-      for (std::size_t j = 0; j < 32; ++j) expect.at(i, j) = p.c.at(i, j);
-    cpu::reference_gemm(p.a.view(), p.b.view(), expect.view());
-    FtimmOptions opt;
-    opt.cores = cores;
-    opt.force = Strategy::ParallelK;
-    opt.tree_reduction = true;
-    engine().sgemm(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()),
-                   opt);
-    EXPECT_LT(max_rel_diff(p.c.view(), expect.view()), gemm_tolerance(8192))
-        << "cores=" << cores;
-  }
-}
-
-TEST(TreeReduction, CompetitiveWithSerial) {
-  // The tree halves the *serial depth* but moves ~3x the chunk bytes; with
-  // core 0's DMA engine pipelining the serial chunks, the two schemes land
-  // within a few percent of each other (see bench_ablation_reduction).
-  FtimmOptions opt;
-  opt.functional = false;
-  opt.force = Strategy::ParallelK;
-  const GemmInput in = GemmInput::shape_only(64, 32, 1 << 18);
-  opt.tree_reduction = false;
-  const GemmResult serial = engine().sgemm(in, opt);
-  opt.tree_reduction = true;
-  const GemmResult tree = engine().sgemm(in, opt);
-  EXPECT_LT(static_cast<double>(tree.cycles),
-            static_cast<double>(serial.cycles) * 1.05);
-  EXPECT_GT(static_cast<double>(tree.cycles),
-            static_cast<double>(serial.cycles) * 0.5);
-}
-
-TEST(TreeReduction, NoopForSingleCore) {
-  workload::GemmProblem p = workload::make_problem(32, 16, 2048, 4);
-  HostMatrix expect(32, 16);
-  for (std::size_t i = 0; i < 32; ++i)
-    for (std::size_t j = 0; j < 16; ++j) expect.at(i, j) = p.c.at(i, j);
-  cpu::reference_gemm(p.a.view(), p.b.view(), expect.view());
-  FtimmOptions opt;
-  opt.cores = 1;
-  opt.force = Strategy::ParallelK;
-  opt.tree_reduction = true;
-  engine().sgemm(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()), opt);
-  EXPECT_LT(max_rel_diff(p.c.view(), expect.view()), gemm_tolerance(2048));
-}
-
 TEST(Performance, UnderRoofline) {
   FtimmOptions opt;
   opt.functional = false;

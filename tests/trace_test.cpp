@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ftm/core/dgemm.hpp"
 #include "ftm/core/ftimm.hpp"
 #include "ftm/runtime/runtime.hpp"
 #include "ftm/trace/chrome.hpp"
@@ -21,6 +22,7 @@ using core::FtimmOptions;
 using core::GemmInput;
 using core::GemmResult;
 using core::Strategy;
+using kernelgen::DType;
 using trace::CounterRegistry;
 using trace::Event;
 using trace::TraceSession;
@@ -181,7 +183,8 @@ class JsonChecker {
 };
 
 /// Runs one deterministic timing-only GEMM under a fresh session and
-/// returns (events, counters, result).
+/// returns (events, counters, result). F64 runs through dgemm, the other
+/// dtypes through sgemm (F16/BF16 via opt.dtype).
 struct TracedRun {
   std::vector<Event> events;
   CounterRegistry counters;
@@ -189,7 +192,7 @@ struct TracedRun {
 };
 
 TracedRun traced_gemm(std::size_t m, std::size_t n, std::size_t k,
-                      Strategy force) {
+                      Strategy force, DType dtype = DType::F32) {
   core::FtimmEngine eng;
   FtimmOptions opt;
   opt.cores = 8;
@@ -198,7 +201,13 @@ TracedRun traced_gemm(std::size_t m, std::size_t n, std::size_t k,
   TraceSession session;
   session.start();
   TracedRun out;
-  out.result = eng.sgemm(GemmInput::shape_only(m, n, k), opt);
+  if (dtype == DType::F64) {
+    out.result =
+        core::dgemm(eng, core::DGemmInput::shape_only(m, n, k), opt);
+  } else {
+    opt.dtype = dtype;
+    out.result = eng.sgemm(GemmInput::shape_only(m, n, k), opt);
+  }
   session.stop();
   out.events = session.events();
   out.counters = session.counters();
@@ -334,21 +343,45 @@ TEST(GoldenTrace, IdenticalRunsProduceIdenticalTraces) {
 }
 
 TEST(GoldenTrace, CountersMatchGemmResult) {
-  const TracedRun r = traced_gemm(4096, 32, 512, Strategy::ParallelM);
-  // Every DDR byte the strategy accounted for shows up in the DMA-site
-  // counters, and vice versa.
-  EXPECT_EQ(r.counters.value("ddr.read_bytes") +
-                r.counters.value("ddr.write_bytes"),
-            r.result.ddr_bytes);
-  // One "kernel" span and one kernel.calls tick per micro-kernel call.
-  EXPECT_EQ(r.counters.value("kernel.calls"), r.result.kernel_calls);
-  std::uint64_t kernel_spans = 0;
-  for (const Event& e : r.events) {
-    if (std::string(e.name) == "kernel") ++kernel_spans;
+  // Every precision runs the same instrumented Algorithm 4 loop nest.
+  for (const DType dt : {DType::F32, DType::F64, DType::F16, DType::BF16}) {
+    SCOPED_TRACE(kernelgen::to_string(dt));
+    const TracedRun r = traced_gemm(4096, 32, 512, Strategy::ParallelM, dt);
+    ASSERT_GT(r.result.kernel_calls, 0u);
+    // Every DDR byte the strategy accounted for shows up in the DMA-site
+    // counters, and vice versa.
+    EXPECT_EQ(r.counters.value("ddr.read_bytes") +
+                  r.counters.value("ddr.write_bytes"),
+              r.result.ddr_bytes);
+    // One "kernel" span and one kernel.calls tick per micro-kernel call.
+    EXPECT_EQ(r.counters.value("kernel.calls"), r.result.kernel_calls);
+    std::uint64_t kernel_spans = 0;
+    for (const Event& e : r.events) {
+      if (std::string(e.name) == "kernel") ++kernel_spans;
+    }
+    EXPECT_EQ(kernel_spans, r.result.kernel_calls);
+    // The whole-GEMM cluster span carries the result's cycle count.
+    EXPECT_EQ(r.counters.value("gemm.cycles"), r.result.cycles);
   }
-  EXPECT_EQ(kernel_spans, r.result.kernel_calls);
-  // The whole-GEMM cluster span carries the result's cycle count.
-  EXPECT_EQ(r.counters.value("gemm.cycles"), r.result.cycles);
+}
+
+TEST(GoldenTrace, HalfRequestCountsDtypeOnce) {
+  // kernel.dtype is cumulative: one F16 request through the runtime adds
+  // its dtype id (2) exactly once, not once per layer it passes.
+  TraceSession session;
+  session.start();
+  {
+    runtime::RuntimeOptions ro;
+    ro.clusters = 1;
+    ro.gemm.functional = false;
+    runtime::GemmRuntime rt(ro);
+    FtimmOptions opt = ro.gemm;
+    opt.dtype = DType::F16;
+    rt.submit(GemmInput::shape_only(4096, 32, 512), opt).get();
+  }
+  session.stop();
+  EXPECT_EQ(session.counters().value("kernel.dtype"),
+            static_cast<std::uint64_t>(DType::F16));
 }
 
 TEST(GoldenTrace, DmaSpansSerializePerEngine) {
