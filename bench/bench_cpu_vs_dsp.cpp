@@ -20,6 +20,7 @@
 #include "ftm/cpu/peak.hpp"
 #include "ftm/util/cli.hpp"
 #include "ftm/util/reporter.hpp"
+#include "ftm/util/task_pool.hpp"
 #include "ftm/workload/generators.hpp"
 #include "ftm/workload/sweeps.hpp"
 
@@ -30,7 +31,7 @@ using core::GemmResult;
 
 namespace {
 
-double time_cpu_gemm(workload::GemmProblem& p, cpu::ThreadPool& pool,
+double time_cpu_gemm(workload::GemmProblem& p, TaskPool& pool,
                      int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -45,7 +46,7 @@ double time_cpu_gemm(workload::GemmProblem& p, cpu::ThreadPool& pool,
   return best;
 }
 
-void run_panel(core::FtimmEngine& eng, cpu::ThreadPool& pool,
+void run_panel(core::FtimmEngine& eng, TaskPool& pool,
                double cpu_peak_gflops, const char* title,
                const std::vector<workload::GemmShape>& shapes, int reps,
                Table& all, const char* panel) {
@@ -94,11 +95,11 @@ int main(int argc, char** argv) {
   const bool full = cli.get_bool("full", false);
 
   core::FtimmEngine eng;
-  cpu::ThreadPool pool;
+  TaskPool pool;
   print_banner("Measuring host CPU FP32 peak");
   const double cpu_peak = cpu::measure_peak_gflops(pool);
   std::printf("Host peak (FMA microbenchmark, %u threads): %.1f GFlops\n",
-              pool.size(), cpu_peak);
+              pool.parallelism(), cpu_peak);
   std::printf("Simulated GPDSP cluster peak: %.1f GFlops\n",
               eng.machine().cluster_peak_gflops());
 

@@ -8,6 +8,7 @@
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/kernelgen/microkernel.hpp"
 #include "ftm/util/prng.hpp"
+#include "ftm/util/task_pool.hpp"
 
 using namespace ftm;
 
@@ -59,7 +60,7 @@ void BM_CpuGemm(benchmark::State& state) {
   HostMatrix a(n, n), b(n, n), c(n, n);
   a.fill_random(rng);
   b.fill_random(rng);
-  cpu::ThreadPool pool;
+  TaskPool pool;
   for (auto _ : state) {
     cpu::cpu_gemm(a.view(), b.view(), c.view(), &pool);
     benchmark::DoNotOptimize(c.data());

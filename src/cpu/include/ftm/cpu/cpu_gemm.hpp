@@ -6,8 +6,8 @@
 
 #include <cstddef>
 
-#include "ftm/cpu/thread_pool.hpp"
 #include "ftm/util/matrix.hpp"
+#include "ftm/util/task_pool.hpp"
 
 namespace ftm::cpu {
 
@@ -22,10 +22,11 @@ struct CpuGemmConfig {
   std::size_t nr = 16;   ///< micro-tile cols (two 8-float SIMD lanes)
 };
 
-/// Blocked + packed SGEMM, C += A * B, parallelized over row panels.
-/// Pass a pool to reuse threads across calls; nullptr runs single-threaded.
+/// Blocked + packed SGEMM, C += A * B, parallelized over contiguous row
+/// chunks, one per thread of `pool` (nullptr runs single-threaded). Rows
+/// are independent, so C's bits do not depend on the pool size.
 void cpu_gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-              ThreadPool* pool = nullptr,
+              TaskPool* pool = nullptr,
               const CpuGemmConfig& cfg = CpuGemmConfig{});
 
 }  // namespace ftm::cpu

@@ -4,7 +4,7 @@
 // micro-benchmark on all pool threads.
 #pragma once
 
-#include "ftm/cpu/thread_pool.hpp"
+#include "ftm/util/task_pool.hpp"
 
 namespace ftm::cpu {
 
@@ -12,6 +12,6 @@ namespace ftm::cpu {
 double measure_single_core_peak_gflops(double seconds = 0.05);
 
 /// Measured aggregate GFlops across all threads of `pool`.
-double measure_peak_gflops(ThreadPool& pool, double seconds = 0.05);
+double measure_peak_gflops(TaskPool& pool, double seconds = 0.05);
 
 }  // namespace ftm::cpu

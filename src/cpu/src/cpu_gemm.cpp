@@ -1,6 +1,7 @@
 #include "ftm/cpu/cpu_gemm.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 namespace ftm::cpu {
@@ -79,7 +80,7 @@ void pack_b(ConstMatrixView b, std::size_t p0, std::size_t j0,
 }  // namespace
 
 void cpu_gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c,
-              ThreadPool* pool, const CpuGemmConfig& cfg) {
+              TaskPool* pool, const CpuGemmConfig& cfg) {
   FTM_EXPECTS(a.rows() == c.rows());
   FTM_EXPECTS(a.cols() == b.rows());
   FTM_EXPECTS(b.cols() == c.cols());
@@ -93,7 +94,7 @@ void cpu_gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c,
   // the scheme simple and contention-free each worker packs B for its own
   // blocks too (the paper's comparison is about efficiency *ratios*, and
   // this implementation reaches a large fraction of host peak).
-  auto run_rows = [&](std::size_t r0, std::size_t r1, unsigned) {
+  auto run_rows = [&](std::size_t r0, std::size_t r1) {
     std::vector<float> abuf, bbuf;
     for (std::size_t j0 = 0; j0 < n; j0 += cfg.nc) {
       const std::size_t nc = std::min(cfg.nc, n - j0);
@@ -121,11 +122,23 @@ void cpu_gemm(ConstMatrixView a, ConstMatrixView b, MatrixView c,
     }
   };
 
-  if (pool == nullptr || pool->size() == 1 || m < 2 * cfg.mr) {
-    run_rows(0, m, 0);
-  } else {
-    pool->parallel_for(m, run_rows);
+  const unsigned parts = pool == nullptr ? 1 : pool->parallelism();
+  if (parts == 1 || m < 2 * cfg.mr) {
+    run_rows(0, m);
+    return;
   }
+  // One contiguous row chunk per pool thread; the first m % parts chunks
+  // take one extra row.
+  std::vector<std::function<void()>> tasks;
+  const std::size_t base = m / parts, rem = m % parts;
+  for (std::size_t i = 0, r0 = 0; i < parts; ++i) {
+    const std::size_t rows = base + (i < rem ? 1 : 0);
+    if (rows > 0) {
+      tasks.emplace_back([&, r0, rows] { run_rows(r0, r0 + rows); });
+    }
+    r0 += rows;
+  }
+  pool->run_batch(std::move(tasks));
 }
 
 }  // namespace ftm::cpu

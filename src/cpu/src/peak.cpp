@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <vector>
 
 namespace ftm::cpu {
@@ -46,24 +47,25 @@ double measure_single_core_peak_gflops(double seconds) {
   return best;
 }
 
-double measure_peak_gflops(ThreadPool& pool, double seconds) {
+double measure_peak_gflops(TaskPool& pool, double seconds) {
   // Calibrate an iteration count that runs ~`seconds` on one core, then run
   // it on every thread simultaneously and sum throughput.
   const double single = measure_single_core_peak_gflops(seconds * 0.5);
   const std::uint64_t iters =
       static_cast<std::uint64_t>(single * 1e9 * seconds / 32.0) + 1;
-  std::vector<double> gflops(pool.size(), 0.0);
-  pool.parallel_for(pool.size(), [&](std::size_t b, std::size_t e,
-                                     unsigned) {
-    using clock = std::chrono::steady_clock;
-    for (std::size_t i = b; i < e; ++i) {
+  std::vector<double> gflops(pool.parallelism(), 0.0);
+  std::vector<std::function<void()>> tasks;
+  for (double& g : gflops) {
+    tasks.emplace_back([&g, iters] {
+      using clock = std::chrono::steady_clock;
       const auto t0 = clock::now();
       const double flops = fma_burst(iters);
       const double dt =
           std::chrono::duration<double>(clock::now() - t0).count();
-      gflops[i] = dt > 0 ? flops / dt / 1e9 : 0.0;
-    }
-  });
+      g = dt > 0 ? flops / dt / 1e9 : 0.0;
+    });
+  }
+  pool.run_batch(std::move(tasks));
   double total = 0.0;
   for (double g : gflops) total += g;
   return total;

@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "ftm/runtime/qos.hpp"
@@ -69,13 +70,9 @@ class Batcher {
     bool pingpong = true;
 
     friend bool operator<(const Key& a, const Key& b) {
-      if (!(a.cls == b.cls)) return a.cls < b.cls;
-      if (a.functional != b.functional) return a.functional < b.functional;
-      if (a.force != b.force) return a.force < b.force;
-      if (a.dynamic_blocks != b.dynamic_blocks) {
-        return a.dynamic_blocks < b.dynamic_blocks;
-      }
-      return a.pingpong < b.pingpong;
+      return std::tie(a.cls, a.functional, a.force, a.dynamic_blocks,
+                      a.pingpong) < std::tie(b.cls, b.functional, b.force,
+                                             b.dynamic_blocks, b.pingpong);
     }
   };
 

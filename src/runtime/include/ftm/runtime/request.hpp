@@ -115,7 +115,7 @@ class RequestQueue {
 
   /// Like push, but returns false (leaving `r` untouched) when the queue
   /// has been shut down — used by the retry path, which races shutdown.
-  bool try_push(int cluster, std::unique_ptr<Request>& r);
+  bool try_push(int cluster, std::unique_ptr<Request>& r, bool front = false);
 
   /// Blocks until work is available for `cluster` (own deque first, then —
   /// when allow_steal — the newest request of the most-loaded enabled

@@ -283,20 +283,32 @@ class GemmRuntime {
 
   struct ClusterState {
     core::FtimmEngine* engine = nullptr;
-    std::unique_ptr<core::FtimmEngine> owned;
     std::vector<std::uint64_t> lanes;  ///< simulated per-core clocks
     std::uint64_t requests = 0;        ///< dispatches (incl. shards/steals)
     Health health;
   };
 
-  void init_host_pool();
-  void start_workers();
-  void start_flusher();
-  void stop_flusher();
+  /// Where try_submit() sends an admitted request. Node-scale problems go
+  /// to the node tier; wide ones split across idle clusters; sub-wide
+  /// Normal/Bulk ones coalesce when batching is on; the rest bind directly
+  /// to the least-loaded cluster.
+  struct Route {
+    enum Kind { Node, Split, Batch, Direct } kind = Direct;
+    std::vector<int> targets;  ///< Split: one shard per listed cluster
+  };
+
+  /// A RuntimeStats counter field (see count()).
+  using Counter = std::uint64_t RuntimeStats::*;
+
+  /// The owning constructor lands here: `owned` keeps the engines alive
+  /// for the borrowing constructor it delegates to.
+  GemmRuntime(std::vector<std::unique_ptr<core::FtimmEngine>> owned,
+              const RuntimeOptions& ro);
+
   void flusher_loop();
-  /// The batched dispatch (ISSUE 7): assigns one target cluster, computes
-  /// the packing width W, pre-plans once per distinct shape, accounts
-  /// shared A/B panels, and enqueues every member.
+  /// The batched dispatch: assigns one target cluster, computes the
+  /// packing width W, pre-plans once per distinct shape, accounts shared
+  /// A/B panels, and enqueues every member.
   void dispatch_batch(Batcher::Flush flush);
   /// Admission control: RejectReason::None, or why this submission must
   /// be refused under the current queue depth / predicted latency.
@@ -306,6 +318,8 @@ class GemmRuntime {
   /// beyond the arrival plus the shape class's EWMA execution cycles.
   std::uint64_t predict_latency_cycles(const QosOptions& qos,
                                        const tune::ShapeClass& cls) const;
+  Route route(const core::GemmInput& in, const core::FtimmOptions& opt,
+              const QosOptions& qos) const;
   void worker_loop(int cluster);
   /// One dispatch: executes, then delivers / retries / falls back / fails.
   void process(int cluster, std::unique_ptr<Request> req, bool stolen);
@@ -316,17 +330,26 @@ class GemmRuntime {
   void run_cpu_fallback(std::unique_ptr<Request> req, RequestStats& rs);
   void fail(std::unique_ptr<Request> req, std::exception_ptr err,
             RequestStats& rs);
+  /// Marks `rs` as a blown deadline, counts it, and returns the typed
+  /// FaultError(DeadlineExceeded) to fail or throw with.
+  std::exception_ptr miss_deadline(RequestStats& rs, int cluster,
+                                   const char* what);
   void deliver(Request& req, const core::GemmResult& r);
   /// Re-routes a request popped by a quarantined cluster's worker.
   void divert(int cluster, std::unique_ptr<Request> req);
   void probe(int cluster);
-  void record_success(int cluster);
   void record_failure(int cluster);
   int pick_retry_target(const Request& req) const;
   bool wall_deadline_passed(const Request& req) const;
   void snapshot_c(Request& req) const;
   void restore_c(Request& req) const;
   void log_request(const RequestStats& rs);
+  /// Adds `delta` to one counter of counters_ and, unless `traced` is
+  /// false, to its trace twin; returns the new value. The only way a
+  /// RuntimeStats counter moves, so a field and its trace counter cannot
+  /// drift apart. `traced = false` is for values the engine traced itself.
+  std::uint64_t count(Counter field, std::uint64_t delta = 1,
+                      bool traced = true);
   /// Charges the makespan onto the cluster's lane clocks, starting no
   /// earlier than the request's virtual arrival; returns the finish cycle.
   std::uint64_t charge_lanes(ClusterState& cs, const Request& req,
@@ -335,20 +358,22 @@ class GemmRuntime {
                                              const core::FtimmOptions& opt,
                                              const QosOptions& qos,
                                              const std::vector<int>& targets);
+  /// The one request factory: id, host pool, QoS fields, the effective
+  /// ABFT integrity (see IntegrityPolicy), shape class and submit time.
   std::unique_ptr<Request> make_request(const core::GemmInput& in,
-                                        const core::FtimmOptions& opt);
+                                        const core::FtimmOptions& opt,
+                                        const QosOptions& qos);
   void validate(const core::FtimmOptions& opt) const;
-  /// Resolves the strongest of the request/QoS/class integrity options
-  /// (see IntegrityPolicy); applied once at submit time.
-  core::IntegrityOptions effective_integrity(const core::FtimmOptions& opt,
-                                             const QosOptions& qos) const;
 
   RuntimeOptions ro_;
   isa::MachineConfig mc_;
-  /// Shared by all cluster workers' host execution engines; nullptr when
-  /// host_threads == 1. Declared before workers_ so it outlives them.
+  /// Shared by all cluster workers' host execution engines and the CPU
+  /// fallback; nullptr when host_threads == 1. Declared before workers_
+  /// so it outlives them.
   std::unique_ptr<TaskPool> host_pool_;
   std::vector<ClusterState> clusters_;
+  /// Engines the runtime built itself (empty when borrowing).
+  std::vector<std::unique_ptr<core::FtimmEngine>> owned_;
   RequestQueue queue_;
   PlanCache plans_;
   std::vector<std::thread> workers_;
@@ -362,28 +387,10 @@ class GemmRuntime {
   bool flusher_stop_ = false;
 
   mutable std::mutex stats_mu_;  ///< guards lanes, counters, health, log
-  std::uint64_t next_id_ = 0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t executed_ = 0;
-  std::uint64_t steals_ = 0;
-  std::uint64_t splits_ = 0;
-  std::uint64_t faults_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t fallbacks_ = 0;
-  std::uint64_t deadline_misses_ = 0;
-  std::uint64_t rerouted_ = 0;
-  std::uint64_t tuned_plans_ = 0;
-  std::uint64_t batches_ = 0;
-  std::uint64_t coalesced_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t batch_ddr_saved_ = 0;
-  std::uint64_t checksum_checks_ = 0;
-  std::uint64_t sdc_detected_ = 0;
-  std::uint64_t sdc_corrected_ = 0;
-  std::uint64_t recomputed_shards_ = 0;
-  std::uint64_t node_dispatches_ = 0;
+  std::uint64_t next_id_ = 0;    ///< last request id handed out
+  /// Every scalar RuntimeStats counter; moved only through count(). The
+  /// per-cluster vectors stay empty here and are filled by stats().
+  RuntimeStats counters_;
   /// EWMA of successful execution cycles per shape class — the execution
   /// estimate of deadline admission (predict_latency_cycles).
   std::map<tune::ShapeClass, double> class_cycles_;

@@ -54,11 +54,17 @@ struct RequestStats {
 };
 
 /// Aggregate counters; a consistent snapshot taken under the stats lock.
+/// With a trace session active, every counter below moves together with a
+/// trace counter of the same value (docs/tracing.md).
 struct RuntimeStats {
   std::uint64_t submitted = 0;   ///< requests accepted (shards not counted)
   std::uint64_t completed = 0;   ///< requests whose future got a value
   std::uint64_t failed = 0;      ///< requests whose future got an exception
   std::uint64_t executed = 0;    ///< dispatches, including shards/retries
+  // One plan hit or miss per cluster dispatch: a plan-cache hit or a batch
+  // member's shared pre-plan is a hit, anything planned afresh (every
+  // dispatch when RuntimeOptions::plan_cache is off) a miss. Node-tier
+  // dispatches plan on their nodes and count as neither.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
   std::uint64_t tuned_plans = 0;  ///< dispatches that ran a tuned plan

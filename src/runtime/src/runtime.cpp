@@ -4,10 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <set>
 #include <tuple>
+#include <utility>
 
+#include "ftm/core/roofline.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/runtime/node_tier.hpp"
 #include "ftm/trace/trace.hpp"
@@ -27,9 +30,15 @@ RequestQueue::RequestQueue(int clusters)
 
 void RequestQueue::push(int cluster, std::unique_ptr<Request> r,
                         bool front) {
+  const bool pushed = try_push(cluster, r, front);
+  FTM_EXPECTS(pushed);  // pushing after shutdown is a caller bug
+}
+
+bool RequestQueue::try_push(int cluster, std::unique_ptr<Request>& r,
+                            bool front) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    FTM_EXPECTS(!stop_);
+    if (stop_) return false;
     FTM_EXPECTS(cluster >= 0 &&
                 cluster < static_cast<int>(qs_.size()));
     load_flops_[cluster] += r->in.flops();
@@ -38,18 +47,6 @@ void RequestQueue::push(int cluster, std::unique_ptr<Request> r,
     } else {
       qs_[cluster].push_back(std::move(r));
     }
-  }
-  cv_work_.notify_all();
-}
-
-bool RequestQueue::try_push(int cluster, std::unique_ptr<Request>& r) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return false;
-    FTM_EXPECTS(cluster >= 0 &&
-                cluster < static_cast<int>(qs_.size()));
-    load_flops_[cluster] += r->in.flops();
-    qs_[cluster].push_back(std::move(r));
   }
   cv_work_.notify_all();
   return true;
@@ -105,19 +102,15 @@ RequestQueue::PopResult RequestQueue::pop_wait(
     std::unique_ptr<Request>* out, bool* stolen) {
   std::unique_lock<std::mutex> lock(mu_);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
+  for (bool timed_out = false;;) {
     if (auto r = take_locked(cluster, allow_steal, stolen)) {
       *out = std::move(r);
       return PopResult::Item;
     }
     if (stop_) return PopResult::Shutdown;
-    if (cv_work_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      if (auto r = take_locked(cluster, allow_steal, stolen)) {
-        *out = std::move(r);
-        return PopResult::Item;
-      }
-      return stop_ ? PopResult::Shutdown : PopResult::Timeout;
-    }
+    if (timed_out) return PopResult::Timeout;
+    timed_out =
+        cv_work_.wait_until(lock, deadline) == std::cv_status::timeout;
   }
 }
 
@@ -132,15 +125,14 @@ void RequestQueue::finished(int cluster, double flops) {
 
 int RequestQueue::least_loaded() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  int best = -1;
-  for (int c = 0; c < static_cast<int>(qs_.size()); ++c) {
-    if (disabled_[c] != 0) continue;
-    if (best < 0 || load_flops_[c] < load_flops_[best]) best = c;
-  }
-  if (best >= 0) return best;
-  best = 0;  // every cluster quarantined: binding falls back to load only
+  // Enabled before disabled, then least load: with every cluster
+  // quarantined, binding falls back to load only.
+  int best = 0;
   for (int c = 1; c < static_cast<int>(qs_.size()); ++c) {
-    if (load_flops_[c] < load_flops_[best]) best = c;
+    if (std::tie(disabled_[c], load_flops_[c]) <
+        std::tie(disabled_[best], load_flops_[best])) {
+      best = c;
+    }
   }
   return best;
 }
@@ -227,6 +219,25 @@ const isa::MachineConfig& first_machine(
   return engines.front()->machine();
 }
 
+std::vector<std::unique_ptr<core::FtimmEngine>> make_engines(
+    int clusters, const isa::MachineConfig& mc) {
+  FTM_EXPECTS(clusters >= 1);
+  const auto kernels = std::make_shared<kernelgen::KernelCache>(mc);
+  std::vector<std::unique_ptr<core::FtimmEngine>> engines;
+  for (int c = 0; c < clusters; ++c) {
+    engines.push_back(std::make_unique<core::FtimmEngine>(mc, kernels));
+    engines.back()->cluster().set_id(c);
+  }
+  return engines;
+}
+
+std::vector<core::FtimmEngine*> raw_engines(
+    const std::vector<std::unique_ptr<core::FtimmEngine>>& owned) {
+  std::vector<core::FtimmEngine*> engines;
+  for (const auto& e : owned) engines.push_back(e.get());
+  return engines;
+}
+
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -240,6 +251,73 @@ void validate_resilience(const ResilienceOptions& rz) {
   FTM_EXPECTS(rz.probe_interval_ms > 0);
 }
 
+/// The trace counter of every RuntimeStats counter. The integrity fields
+/// share the engine's integrity.* names: the engine traces the values it
+/// returns, the runtime traces only what the engine could not.
+struct TraceTwin {
+  std::uint64_t RuntimeStats::*field;
+  const char* name;
+};
+constexpr TraceTwin kTraceTwins[] = {
+    {&RuntimeStats::submitted, "runtime.submitted"},
+    {&RuntimeStats::completed, "runtime.completed"},
+    {&RuntimeStats::failed, "runtime.failed"},
+    {&RuntimeStats::executed, "runtime.executed"},
+    {&RuntimeStats::plan_hits, "runtime.plan_hits"},
+    {&RuntimeStats::plan_misses, "runtime.plan_misses"},
+    {&RuntimeStats::tuned_plans, "runtime.tuned_plans"},
+    {&RuntimeStats::steals, "runtime.steals"},
+    {&RuntimeStats::splits, "runtime.splits"},
+    {&RuntimeStats::faults, "runtime.faults"},
+    {&RuntimeStats::retries, "runtime.retries"},
+    {&RuntimeStats::fallbacks, "runtime.fallbacks"},
+    {&RuntimeStats::deadline_misses, "runtime.deadline_misses"},
+    {&RuntimeStats::rerouted, "runtime.rerouted"},
+    {&RuntimeStats::batches, "runtime.batched"},
+    {&RuntimeStats::coalesced, "runtime.coalesced"},
+    {&RuntimeStats::rejected, "runtime.rejected"},
+    {&RuntimeStats::batch_ddr_saved_bytes, "runtime.batch_ddr_saved"},
+    {&RuntimeStats::checksum_checks, "integrity.checks"},
+    {&RuntimeStats::sdc_detected, "integrity.detected"},
+    {&RuntimeStats::sdc_corrected, "integrity.corrected"},
+    {&RuntimeStats::recomputed_shards, "integrity.recomputed"},
+    {&RuntimeStats::node_dispatches, "runtime.node_dispatches"},
+};
+
+using TraceArgs = std::initializer_list<std::pair<const char*, std::uint64_t>>;
+using Clock = std::chrono::steady_clock;
+
+/// Records one host-side event on the Runtime track: an instant at the
+/// current time, or — when `from` is set — a span from `from` to `to`
+/// (default: now).
+void trace_event(const char* name, const char* cat, int cluster,
+                 TraceArgs args = {}, Clock::time_point from = {},
+                 Clock::time_point to = {}) {
+#if FTM_TRACE_ENABLED
+  trace::TraceSession* ts = trace::TraceSession::current();
+#else
+  trace::TraceSession* ts = nullptr;  // instrumentation compiled out
+#endif
+  if (ts == nullptr) return;
+  const std::uint64_t now = ts->host_now_us();
+  trace::Event e;
+  e.name = name;
+  e.cat = cat;
+  e.ts = from == Clock::time_point{} ? now : ts->host_us(from);
+  const std::uint64_t end = to == Clock::time_point{} ? now : ts->host_us(to);
+  e.dur = end > e.ts ? end - e.ts : 0;
+  e.cluster = cluster;
+  e.track = trace::TrackKind::Runtime;
+  for (const auto& [arg, value] : args) e.arg(arg, value);
+  ts->record(e);
+}
+
+/// The latest of some simulated clocks (0 for none): a cluster's lane
+/// frontier, or the makespan over every cluster's frontier.
+std::uint64_t latest(const std::vector<std::uint64_t>& clocks) {
+  return clocks.empty() ? 0 : *std::max_element(clocks.begin(), clocks.end());
+}
+
 /// Batch-lifecycle bookkeeping: the last member of a batch to resolve
 /// (with a value or an exception — members are independent failure
 /// domains) closes the batch's trace span.
@@ -248,57 +326,22 @@ void note_batch_member_done(const Request& req) {
   if (req.batch->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
     return;
   }
-#if FTM_TRACE_ENABLED
-  if (trace::TraceSession* ts = trace::TraceSession::current()) {
-    trace::Event e;
-    e.name = "batch_done";
-    e.cat = "batch";
-    e.ts = ts->host_now_us();
-    e.track = trace::TrackKind::Runtime;
-    e.arg("id", req.batch->id);
-    e.arg("size", static_cast<std::uint64_t>(req.batch->size));
-    ts->record(e);
-  }
-#endif
+  trace_event("batch_done", "batch", -1,
+              {{"id", req.batch->id},
+               {"size", static_cast<std::uint64_t>(req.batch->size)}});
 }
-
-#if FTM_TRACE_ENABLED
-void trace_instant(const char* name, int cluster) {
-  if (trace::TraceSession* ts = trace::TraceSession::current()) {
-    trace::Event e;
-    e.name = name;
-    e.cat = "health";
-    e.ts = ts->host_now_us();
-    e.cluster = cluster;
-    e.track = trace::TrackKind::Runtime;
-    ts->record(e);
-  }
-}
-#else
-void trace_instant(const char*, int) {}
-#endif
 
 }  // namespace
 
 GemmRuntime::GemmRuntime(const RuntimeOptions& ro,
                          const isa::MachineConfig& mc)
-    : ro_(ro), mc_(mc), queue_(ro.clusters) {
-  FTM_EXPECTS(ro.clusters >= 1);
-  validate_resilience(ro_.resilience);
-  const auto kernels = std::make_shared<kernelgen::KernelCache>(mc);
-  clusters_.resize(static_cast<std::size_t>(ro.clusters));
-  for (int c = 0; c < ro.clusters; ++c) {
-    auto& cs = clusters_[c];
-    cs.owned = std::make_unique<core::FtimmEngine>(mc, kernels);
-    cs.engine = cs.owned.get();
-    cs.engine->cluster().set_id(c);
-    cs.engine->cluster().set_fault_injector(ro_.fault_injector);
-    if (ro_.tuning) cs.engine->set_plan_provider(ro_.tuning);
-    cs.lanes.assign(static_cast<std::size_t>(mc.cores_per_cluster), 0);
-  }
-  init_host_pool();
-  start_workers();
-  start_flusher();
+    : GemmRuntime(make_engines(ro.clusters, mc), ro) {}
+
+GemmRuntime::GemmRuntime(
+    std::vector<std::unique_ptr<core::FtimmEngine>> owned,
+    const RuntimeOptions& ro)
+    : GemmRuntime(raw_engines(owned), ro) {
+  owned_ = std::move(owned);  // the workers only ever see the raw pointers
 }
 
 GemmRuntime::GemmRuntime(const std::vector<core::FtimmEngine*>& engines,
@@ -319,43 +362,36 @@ GemmRuntime::GemmRuntime(const std::vector<core::FtimmEngine*>& engines,
     clusters_[c].lanes.assign(static_cast<std::size_t>(mc_.cores_per_cluster),
                               0);
   }
-  init_host_pool();
-  start_workers();
-  start_flusher();
-}
-
-void GemmRuntime::init_host_pool() {
   FTM_EXPECTS(ro_.host_threads >= 0);
   unsigned threads = static_cast<unsigned>(ro_.host_threads);
   if (threads == 0) {
     threads = std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
   }
   if (threads > 1) host_pool_ = std::make_unique<TaskPool>(threads);
+  workers_.reserve(clusters_.size());
+  for (int c = 0; c < clusters(); ++c) {
+    workers_.emplace_back([this, c] { worker_loop(c); });
+  }
+  if (ro_.batching.enabled) {
+    batcher_ = std::make_unique<Batcher>(ro_.batching);
+    flusher_ = std::thread([this] { flusher_loop(); });
+  }
 }
 
 GemmRuntime::~GemmRuntime() {
-  stop_flusher();     // no age trigger can race the final drain
+  if (flusher_.joinable()) {  // no age trigger can race the final drain
+    {
+      const std::lock_guard<std::mutex> lock(flusher_mu_);
+      flusher_stop_ = true;
+    }
+    flusher_cv_.notify_all();
+    flusher_.join();
+  }
   flush_batches();    // held members enter the queue before shutdown
   queue_.shutdown();  // workers drain whatever is still queued, then exit
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-}
-
-void GemmRuntime::start_flusher() {
-  if (!ro_.batching.enabled) return;
-  batcher_ = std::make_unique<Batcher>(ro_.batching);
-  flusher_ = std::thread([this] { flusher_loop(); });
-}
-
-void GemmRuntime::stop_flusher() {
-  if (!flusher_.joinable()) return;
-  {
-    const std::lock_guard<std::mutex> lock(flusher_mu_);
-    flusher_stop_ = true;
-  }
-  flusher_cv_.notify_all();
-  flusher_.join();
 }
 
 void GemmRuntime::flusher_loop() {
@@ -382,13 +418,6 @@ void GemmRuntime::flusher_loop() {
 void GemmRuntime::flush_batches() {
   if (!batcher_) return;
   for (auto& f : batcher_->take_all()) dispatch_batch(std::move(f));
-}
-
-void GemmRuntime::start_workers() {
-  workers_.reserve(clusters_.size());
-  for (int c = 0; c < clusters(); ++c) {
-    workers_.emplace_back([this, c] { worker_loop(c); });
-  }
 }
 
 void GemmRuntime::worker_loop(int cluster) {
@@ -431,22 +460,22 @@ void GemmRuntime::validate(const core::FtimmOptions& opt) const {
   FTM_EXPECTS(opt.wide_problem_flops > 0);
 }
 
-core::IntegrityOptions GemmRuntime::effective_integrity(
-    const core::FtimmOptions& opt, const QosOptions& qos) const {
-  const core::IntegrityOptions& cls =
-      ro_.integrity.for_priority(qos.priority);
-  core::IntegrityOptions eff = opt.integrity;
-  // Strongest mode wins (IntegrityMode is ordered by strength); the
-  // loosest tolerance wins so a caller can widen it for wild data.
-  eff.mode = std::max({eff.mode, qos.integrity.mode, cls.mode});
-  eff.tolerance_scale =
-      std::max({eff.tolerance_scale, qos.integrity.tolerance_scale,
-                cls.tolerance_scale});
-  return eff;
+std::uint64_t GemmRuntime::count(Counter field, std::uint64_t delta,
+                                 bool traced) {
+  std::uint64_t value = 0;
+  {
+    const std::lock_guard<std::mutex> lock(stats_mu_);
+    value = counters_.*field += delta;
+  }
+  for (const TraceTwin& twin : kTraceTwins) {
+    if (traced && twin.field == field) FTM_TRACE_COUNTER(twin.name, delta);
+  }
+  return value;
 }
 
 std::unique_ptr<Request> GemmRuntime::make_request(
-    const core::GemmInput& in, const core::FtimmOptions& opt) {
+    const core::GemmInput& in, const core::FtimmOptions& opt,
+    const QosOptions& qos) {
   auto r = std::make_unique<Request>();
   {
     const std::lock_guard<std::mutex> lock(stats_mu_);
@@ -458,6 +487,21 @@ std::unique_ptr<Request> GemmRuntime::make_request(
   // engine's functional work then runs across pool threads (cycle results
   // are pool-size-independent, see docs/performance.md).
   if (r->opt.host_pool == nullptr) r->opt.host_pool = host_pool_.get();
+  // ABFT policy is resolved once, here: every dispatch of this request
+  // (retries, steals, CPU fallback aside) runs the strongest of the
+  // request's, the QoS contract's and the priority class's modes
+  // (IntegrityMode is ordered by strength), with the loosest tolerance so
+  // a caller can widen it for wild data.
+  const core::IntegrityOptions& floor =
+      ro_.integrity.for_priority(qos.priority);
+  r->opt.integrity.mode =
+      std::max({opt.integrity.mode, qos.integrity.mode, floor.mode});
+  r->opt.integrity.tolerance_scale =
+      std::max({opt.integrity.tolerance_scale, qos.integrity.tolerance_scale,
+                floor.tolerance_scale});
+  r->priority = qos.priority;
+  r->arrival_cycle = qos.arrival_cycle;
+  r->cls = tune::ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
   r->submit_time = std::chrono::steady_clock::now();
   return r;
 }
@@ -506,78 +550,60 @@ SubmitResult GemmRuntime::try_submit(const core::GemmInput& in,
     FTM_EXPECTS(in.b.rows() == in.k && in.b.cols() == in.n);
     FTM_EXPECTS(in.c.rows() == in.m && in.c.cols() == in.n);
   }
-  const RejectReason why = admit(in, opt, qos);
-  if (why != RejectReason::None) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++rejected_;
-    }
-    FTM_TRACE_COUNTER("runtime.rejected", 1);
-    SubmitResult sr;
-    sr.reject = why;
-    return sr;
-  }
   SubmitResult sr;
-  // Node-tier intercept (ISSUE 9): problems at node scale bypass both
-  // wide-splitting and batching — the tier owns sharding. The request
-  // still flows through a worker queue so ordering, stats, resilience
-  // (retry -> CPU fallback) and future semantics are unchanged.
-  if (ro_.nodes != nullptr && in.flops() >= ro_.node_problem_flops) {
-    auto r = make_request(in, opt);
-    r->priority = qos.priority;
-    r->arrival_cycle = qos.arrival_cycle;
-    r->opt.integrity = effective_integrity(opt, qos);
-    r->cls = tune::ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
-    r->node_tier = true;
-    sr.future = r->promise.get_future();
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++submitted_;
-    }
-    FTM_TRACE_COUNTER("runtime.submitted", 1);
-    r->bound_cluster = queue_.least_loaded();
-    const int target = r->bound_cluster;
-    queue_.push(target, std::move(r), qos.priority == Priority::Latency);
+  sr.reject = admit(in, opt, qos);
+  if (!sr.accepted()) {
+    count(&RuntimeStats::rejected);
     return sr;
   }
-  if (ro_.split_wide && clusters() > 1 &&
-      in.flops() >= opt.wide_problem_flops &&
-      in.m >= 2 * ro_.split_min_rows) {
-    std::vector<int> idle = queue_.idle_clusters();
-    const std::size_t max_shards =
-        ro_.split_min_rows > 0 ? in.m / ro_.split_min_rows : in.m;
-    if (idle.size() > max_shards) idle.resize(max_shards);
-    if (idle.size() >= 2) {
-      sr.future = submit_split(in, opt, qos, idle);
-      return sr;
-    }
+  const Route to = route(in, opt, qos);
+  count(&RuntimeStats::submitted);
+  if (to.kind == Route::Split) {
+    sr.future = submit_split(in, opt, qos, to.targets);
+    return sr;
   }
-  auto r = make_request(in, opt);
-  r->priority = qos.priority;
-  r->arrival_cycle = qos.arrival_cycle;
-  // ABFT policy is resolved once, here: every dispatch of this request
-  // (retries, steals, CPU fallback aside) runs the same integrity mode.
-  r->opt.integrity = effective_integrity(opt, qos);
-  r->cls = tune::ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
+  auto r = make_request(in, opt, qos);
+  r->node_tier = to.kind == Route::Node;
   sr.future = r->promise.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++submitted_;
-  }
-  FTM_TRACE_COUNTER("runtime.submitted", 1);
-  // Only Normal/Bulk sub-wide requests coalesce; Latency requests bypass
-  // the buffer entirely and jump their cluster's FIFO.
-  if (batcher_ != nullptr && qos.priority != Priority::Latency &&
-      in.flops() < opt.wide_problem_flops) {
+  if (to.kind == Route::Batch) {
     if (auto flush = batcher_->add(std::move(r))) {
       dispatch_batch(std::move(*flush));
     }
     return sr;
   }
+  // Node and Direct: bind to the least-loaded cluster's queue. A node-tier
+  // request still flows through a worker so ordering, stats, resilience
+  // (retry -> CPU fallback) and future semantics are unchanged. Latency
+  // requests jump their cluster's FIFO.
   r->bound_cluster = queue_.least_loaded();
   const int target = r->bound_cluster;
   queue_.push(target, std::move(r), qos.priority == Priority::Latency);
   return sr;
+}
+
+GemmRuntime::Route GemmRuntime::route(const core::GemmInput& in,
+                                      const core::FtimmOptions& opt,
+                                      const QosOptions& qos) const {
+  // Problems at node scale bypass both wide-splitting and batching: the
+  // node tier owns sharding.
+  if (ro_.nodes != nullptr && in.flops() >= ro_.node_problem_flops) {
+    return {Route::Node, {}};
+  }
+  const bool wide = in.flops() >= opt.wide_problem_flops;
+  if (ro_.split_wide && clusters() > 1 && wide &&
+      in.m >= 2 * ro_.split_min_rows) {
+    std::vector<int> idle = queue_.idle_clusters();
+    const std::size_t max_shards =
+        ro_.split_min_rows > 0 ? in.m / ro_.split_min_rows : in.m;
+    if (idle.size() > max_shards) idle.resize(max_shards);
+    if (idle.size() >= 2) return {Route::Split, std::move(idle)};
+  }
+  // Only Normal/Bulk sub-wide requests coalesce; Latency requests bypass
+  // the buffer entirely.
+  if (batcher_ != nullptr && qos.priority != Priority::Latency && !wide) {
+    return {Route::Batch, {}};
+  }
+  return {Route::Direct, {}};
 }
 
 RejectReason GemmRuntime::admit(const core::GemmInput& in,
@@ -616,8 +642,7 @@ std::uint64_t GemmRuntime::predict_latency_cycles(
   bool first = true;
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
     if (clusters_[c].health.quarantined) continue;
-    std::uint64_t mk = 0;
-    for (const std::uint64_t t : clusters_[c].lanes) mk = std::max(mk, t);
+    const std::uint64_t mk = latest(clusters_[c].lanes);
     if (first || mk < frontier) frontier = mk;
     first = false;
   }
@@ -642,26 +667,11 @@ std::future<core::GemmResult> GemmRuntime::submit_split(
   group->shards = P;
   group->flops = in.flops();
   auto fut = group->promise.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++submitted_;
-    ++splits_;
-  }
-  FTM_TRACE_COUNTER("runtime.submitted", 1);
-  FTM_TRACE_COUNTER("runtime.splits", 1);
-#if FTM_TRACE_ENABLED
-  if (trace::TraceSession* ts = trace::TraceSession::current()) {
-    trace::Event e;
-    e.name = "sharded";
-    e.cat = "request";
-    e.ts = ts->host_now_us();
-    e.track = trace::TrackKind::Runtime;
-    e.arg("shards", static_cast<std::uint64_t>(P));
-    e.arg("m", in.m);
-    e.arg("n", in.n);
-    ts->record(e);
-  }
-#endif
+  count(&RuntimeStats::splits);
+  trace_event("sharded", "request", -1,
+              {{"shards", static_cast<std::uint64_t>(P)},
+               {"m", in.m},
+               {"n", in.n}});
   const bool sliced = in.a.data() != nullptr;
   const std::size_t base = in.m / static_cast<std::size_t>(P);
   const std::size_t rem = in.m % static_cast<std::size_t>(P);
@@ -677,13 +687,8 @@ std::future<core::GemmResult> GemmRuntime::submit_split(
       shard.b = in.b;
       shard.c = in.c.block(r0, 0, rows, in.n);
     }
-    auto req = make_request(shard, opt);
+    auto req = make_request(shard, opt, qos);
     req->group = group;
-    req->priority = qos.priority;
-    req->arrival_cycle = qos.arrival_cycle;
-    req->opt.integrity = effective_integrity(opt, qos);
-    req->cls = tune::ShapeClass::of(shard.m, shard.n, shard.k, opt.cores,
-                                    opt.dtype);
     const int target = targets[static_cast<std::size_t>(p)];
     req->bound_cluster = target;
     queue_.push(target, std::move(req));
@@ -696,11 +701,8 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
   const int n = static_cast<int>(flush.members.size());
   if (n == 0) return;
   auto group = std::make_shared<BatchGroup>();
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    group->id = ++batches_;
-    if (n >= 2) coalesced_ += static_cast<std::uint64_t>(n);
-  }
+  group->id = count(&RuntimeStats::batches);
+  if (n >= 2) count(&RuntimeStats::coalesced, static_cast<std::uint64_t>(n));
   group->size = n;
   group->cls = flush.cls;
   group->trigger = flush.trigger;
@@ -711,7 +713,6 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
   const int W = std::min(
       n, std::min(ro_.batching.max_batch, mc_.cores_per_cluster));
   group->width = n >= 2 ? W : 0;
-  FTM_TRACE_COUNTER("runtime.batched", 1);
   const int target = queue_.least_loaded();
   ClusterState& cs = clusters_[static_cast<std::size_t>(target)];
 
@@ -723,6 +724,11 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
   // its dispatch is charged the panel's DMA bytes once, not twice.
   using Panel = std::tuple<const float*, std::size_t, std::size_t>;
   std::set<Panel> staged;  // (base pointer, rows, cols)
+  const auto reused = [&staged](const ConstMatrixView& v) {
+    const bool seen = v.data() != nullptr &&
+                      !staged.insert({v.data(), v.rows(), v.cols()}).second;
+    return seen ? static_cast<std::uint64_t>(v.rows()) * v.cols() * 4 : 0;
+  };
   for (auto& m : flush.members) {
     m->batch = group;
     m->bound_cluster = target;
@@ -742,33 +748,14 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
                  .first;
       }
       m->preplanned = it->second;
-      std::uint64_t reuse = 0;
-      if (m->in.a.data() != nullptr &&
-          !staged.insert({m->in.a.data(), m->in.m, m->in.k}).second) {
-        reuse += static_cast<std::uint64_t>(m->in.m) * m->in.k * 4;
-      }
-      if (m->in.b.data() != nullptr &&
-          !staged.insert({m->in.b.data(), m->in.k, m->in.n}).second) {
-        reuse += static_cast<std::uint64_t>(m->in.k) * m->in.n * 4;
-      }
-      m->reuse_panel_bytes = reuse;
-      group->shared_panel_bytes += reuse;
+      m->reuse_panel_bytes = reused(m->in.a) + reused(m->in.b);
+      group->shared_panel_bytes += m->reuse_panel_bytes;
     }
   }
-#if FTM_TRACE_ENABLED
-  if (trace::TraceSession* ts = trace::TraceSession::current()) {
-    trace::Event e;
-    e.name = "batch";
-    e.cat = "batch";
-    e.ts = ts->host_now_us();
-    e.cluster = target;
-    e.track = trace::TrackKind::Runtime;
-    e.arg("id", group->id);
-    e.arg("size", static_cast<std::uint64_t>(n));
-    e.arg("shared_bytes", group->shared_panel_bytes);
-    ts->record(e);
-  }
-#endif
+  trace_event("batch", "batch", target,
+              {{"id", group->id},
+               {"size", static_cast<std::uint64_t>(n)},
+               {"shared_bytes", group->shared_panel_bytes}});
   for (auto& m : flush.members) {
     queue_.push(target, std::move(m));
   }
@@ -777,15 +764,11 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
 core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
                                              RequestStats& rs) {
   if (req.node_tier) {
-    // Node-tier dispatch (ISSUE 9): the whole problem runs on the grid
-    // of modeled processors; no plan-cache probe here — each node's own
+    // Node-tier dispatch: the whole problem runs on the grid of modeled
+    // processors. No plan lookup here (hit or miss) — each node's own
     // runtime keeps its own cache.
     rs.node_dispatch = true;
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++node_dispatches_;
-    }
-    FTM_TRACE_COUNTER("runtime.node_dispatches", 1);
+    count(&RuntimeStats::node_dispatches);
     return ro_.nodes->run(req.in, req.opt);
   }
   ClusterState& cs = clusters_[static_cast<std::size_t>(cluster)];
@@ -807,15 +790,23 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
   } else {
     plan = cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
   }
+  // One hit or miss per cluster dispatch; a plan-cache-less runtime
+  // misses every time.
+  count(rs.plan_cache_hit ? &RuntimeStats::plan_hits
+                          : &RuntimeStats::plan_misses);
   if (plan.tuned) {
     rs.tuned_plan = true;
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++tuned_plans_;
-    }
-    FTM_TRACE_COUNTER("runtime.tuned_plans", 1);
+    count(&RuntimeStats::tuned_plans);
   }
   return cs.engine->sgemm_planned(req.in, plan, req.opt);
+}
+
+std::exception_ptr GemmRuntime::miss_deadline(RequestStats& rs, int cluster,
+                                              const char* what) {
+  rs.deadline_missed = true;
+  count(&RuntimeStats::deadline_misses);
+  return std::make_exception_ptr(
+      FaultError(FaultKind::DeadlineExceeded, cluster, -1, what));
 }
 
 void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
@@ -842,16 +833,9 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
   // the caller's time budget is gone no matter which cluster runs it.
   // Not charged to the cluster's health either: it is not a cluster fault.
   if (res.enabled && wall_deadline_passed(*req)) {
-    rs.deadline_missed = true;
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++deadline_misses_;
-    }
-    FTM_TRACE_COUNTER("runtime.deadline_misses", 1);
     fail(std::move(req),
-         std::make_exception_ptr(FaultError(
-             FaultKind::DeadlineExceeded, cluster, -1,
-             "wall-clock deadline exceeded before dispatch")),
+         miss_deadline(rs, cluster,
+                       "wall-clock deadline exceeded before dispatch"),
          rs);
     queue_.finished(cluster, flops);
     return;
@@ -872,25 +856,16 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     // how a stalled-but-alive cluster ends up quarantined.
     if (res.enabled && res.deadline_cycles > 0 &&
         result.cycles > res.deadline_cycles) {
-      rs.deadline_missed = true;
-      {
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++deadline_misses_;
-      }
-      FTM_TRACE_COUNTER("runtime.deadline_misses", 1);
-      throw FaultError(FaultKind::DeadlineExceeded, cluster, -1,
-                       "simulated-cycle deadline exceeded");
+      std::rethrow_exception(miss_deadline(
+          rs, cluster, "simulated-cycle deadline exceeded"));
     }
     ok = true;
   } catch (const IntegrityError& e) {
-    // Unrepairable checksum damage: a transient data fault. Record the
-    // detection here (the dispatch produced no result to copy it from);
-    // handle_fault counts the recompute when it re-dispatches.
+    // Unrepairable checksum damage: a transient data fault. The engine
+    // threw before it could report (or trace) the detections, so they are
+    // counted here; handle_fault counts the recompute when it re-dispatches.
     rs.sdc_detected = static_cast<std::uint64_t>(e.detected());
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      sdc_detected_ += rs.sdc_detected;
-    }
+    count(&RuntimeStats::sdc_detected, rs.sdc_detected);
     err = std::current_exception();
     is_fault = true;
   } catch (const FaultError&) {
@@ -914,10 +889,10 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     rs.sdc_detected = result.sdc_detected;
     rs.sdc_corrected = result.sdc_corrected;
     if (result.checksum_checks > 0 || result.sdc_detected > 0) {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      checksum_checks_ += result.checksum_checks;
-      sdc_detected_ += result.sdc_detected;
-      sdc_corrected_ += result.sdc_corrected;
+      // The engine already traced these as integrity.*.
+      count(&RuntimeStats::checksum_checks, result.checksum_checks, false);
+      count(&RuntimeStats::sdc_detected, result.sdc_detected, false);
+      count(&RuntimeStats::sdc_corrected, result.sdc_corrected, false);
     }
     if (req->reuse_panel_bytes > 0) {
       // Shared-operand reuse: a batch-mate already staged this A/B panel
@@ -925,50 +900,23 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
       const std::uint64_t save =
           std::min(req->reuse_panel_bytes, result.ddr_bytes);
       result.ddr_bytes -= save;
-      {
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        batch_ddr_saved_ += save;
-      }
-      FTM_TRACE_COUNTER("runtime.batch_ddr_saved", save);
+      count(&RuntimeStats::batch_ddr_saved_bytes, save);
     }
   }
-#if FTM_TRACE_ENABLED
-  if (trace::TraceSession* ts = trace::TraceSession::current()) {
-    const std::uint64_t t0 = ts->host_us(req->submit_time);
-    const std::uint64_t t1 = ts->host_us(t_start);
-    trace::Event q;
-    q.name = "queued";
-    q.cat = "request";
-    q.ts = t0;
-    q.dur = t1 > t0 ? t1 - t0 : 0;
-    q.cluster = cluster;
-    q.track = trace::TrackKind::Runtime;
-    q.arg("id", req->id);
-    ts->record(q);
-    trace::Event x;
-    x.name = "execute";
-    x.cat = "request";
-    x.ts = t1;
-    x.dur = ts->host_now_us() - t1;
-    x.cluster = cluster;
-    x.track = trace::TrackKind::Runtime;
-    x.arg("id", req->id);
-    x.arg("plan_hit", rs.plan_cache_hit ? 1 : 0);
-    x.arg("sim_cycles", rs.sim_cycles);
-    x.arg("attempt", static_cast<std::uint64_t>(rs.attempt));
-    x.arg("fault", is_fault ? 1 : 0);
-    ts->record(x);
-    ts->count(rs.plan_cache_hit ? "runtime.plan_hits"
-                                : "runtime.plan_misses");
-    if (stolen) ts->count("runtime.steals");
-  }
-#endif
+  trace_event("queued", "request", cluster, {{"id", req->id}},
+              req->submit_time, t_start);
+  trace_event("execute", "request", cluster,
+              {{"id", req->id},
+               {"plan_hit", rs.plan_cache_hit ? 1u : 0u},
+               {"sim_cycles", rs.sim_cycles}},
+              t_start);
+  count(&RuntimeStats::executed);
+  if (stolen) count(&RuntimeStats::steals);
   {
     const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++executed_;
     ++cs.requests;
-    if (stolen) ++steals_;
     if (ok) {
+      cs.health.consecutive = 0;  // a success closes the breaker's count
       if (req->node_tier) {
         // Node-tier cycles live in the node layer's clock domain: do not
         // charge host-cluster lanes, and keep them out of the per-class
@@ -986,7 +934,6 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     }
   }
   if (ok) {
-    if (res.enabled) record_success(cluster);
     // Log before deliver: a caller woken by future::get() may read
     // request_log() immediately and must see this request's entry.
     log_request(rs);
@@ -1013,18 +960,14 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
                                std::exception_ptr err, RequestStats& rs) {
   const ResilienceOptions& res = ro_.resilience;
   req->tried.push_back(cluster);
+  // A faulted dispatch with detections is an IntegrityError escalation:
+  // the re-dispatch (or CPU fallback) recomputes the damaged block.
+  const bool recompute = rs.sdc_detected > 0;
   if (req->attempts <= res.max_retries) {
     if (wall_deadline_passed(*req)) {
-      rs.deadline_missed = true;
-      {
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++deadline_misses_;
-      }
-      FTM_TRACE_COUNTER("runtime.deadline_misses", 1);
       fail(std::move(req),
-           std::make_exception_ptr(FaultError(
-               FaultKind::DeadlineExceeded, cluster, -1,
-               "wall-clock deadline exceeded during retries")),
+           miss_deadline(rs, cluster,
+                         "wall-clock deadline exceeded during retries"),
            rs);
       return;
     }
@@ -1047,17 +990,8 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
       req->reuse_panel_bytes = 0;
       req->bound_cluster = target;
       if (queue_.try_push(target, req)) {
-        {
-          const std::lock_guard<std::mutex> lock(stats_mu_);
-          ++retries_;
-          // A faulted dispatch with detections is an IntegrityError
-          // escalation: the re-dispatch recomputes the damaged block.
-          if (rs.fault && rs.sdc_detected > 0) ++recomputed_shards_;
-        }
-        FTM_TRACE_COUNTER("runtime.retries", 1);
-        if (rs.fault && rs.sdc_detected > 0) {
-          FTM_TRACE_COUNTER("integrity.recomputed", 1);
-        }
+        count(&RuntimeStats::retries);
+        if (recompute) count(&RuntimeStats::recomputed_shards);
         log_request(rs);  // the faulted attempt; the retry logs its own row
         return;
       }
@@ -1065,13 +999,7 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
   }
   // Retries exhausted, no healthy cluster left, or the queue shut down.
   if (res.cpu_fallback) {
-    if (rs.fault && rs.sdc_detected > 0) {
-      {
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++recomputed_shards_;
-      }
-      FTM_TRACE_COUNTER("integrity.recomputed", 1);
-    }
+    if (recompute) count(&RuntimeStats::recomputed_shards);
     run_cpu_fallback(std::move(req), rs);
     return;
   }
@@ -1086,20 +1014,17 @@ void GemmRuntime::run_cpu_fallback(std::unique_ptr<Request> req,
   r.cpu_fallback = true;
   // No simulated cycles: the host CPU is outside the DSP cycle model, so
   // the result carries the correctness payload (C) and the flag only.
+  // Rows are independent, so C does not depend on the pool's chunking.
   try {
     if (req->opt.functional && req->in.c.data() != nullptr) {
-      cpu::cpu_gemm(req->in.a, req->in.b, req->in.c);
+      cpu::cpu_gemm(req->in.a, req->in.b, req->in.c, req->opt.host_pool);
     }
   } catch (...) {
     fail(std::move(req), std::current_exception(), rs);
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++fallbacks_;
-  }
-  FTM_TRACE_COUNTER("runtime.fallbacks", 1);
-  trace_instant("cpu_fallback", rs.cluster);
+  count(&RuntimeStats::fallbacks);
+  trace_event("cpu_fallback", "health", rs.cluster);
   log_request(rs);
   deliver(*req, r);
 }
@@ -1111,10 +1036,7 @@ void GemmRuntime::fail(std::unique_ptr<Request> req, std::exception_ptr err,
   log_request(rs);  // before the promise wakes the waiter
   note_batch_member_done(*req);
   if (!req->group) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++failed_;
-    }
+    count(&RuntimeStats::failed);
     req->promise.set_exception(err);
     return;
   }
@@ -1123,10 +1045,7 @@ void GemmRuntime::fail(std::unique_ptr<Request> req, std::exception_ptr err,
   --g.remaining;
   if (!g.failed) {
     g.failed = true;
-    {
-      const std::lock_guard<std::mutex> slock(stats_mu_);
-      ++failed_;
-    }
+    count(&RuntimeStats::failed);
     g.promise.set_exception(err);
   }
 }
@@ -1137,11 +1056,7 @@ void GemmRuntime::divert(int cluster, std::unique_ptr<Request> req) {
   if (target != cluster && queue_.enabled(target)) {
     req->bound_cluster = target;
     if (queue_.try_push(target, req)) {
-      {
-        const std::lock_guard<std::mutex> lock(stats_mu_);
-        ++rerouted_;
-      }
-      FTM_TRACE_COUNTER("runtime.rerouted", 1);
+      count(&RuntimeStats::rerouted);
       queue_.finished(cluster, flops);
       return;
     }
@@ -1186,32 +1101,15 @@ void GemmRuntime::probe(int cluster) {
   }
   queue_.set_enabled(cluster, true);
   FTM_TRACE_COUNTER("runtime.recoveries", 1);
-#if FTM_TRACE_ENABLED
-  if (trace::TraceSession* ts = trace::TraceSession::current()) {
-    trace::Event e;
-    e.name = "quarantined";
-    e.cat = "health";
-    e.ts = ts->host_us(since);
-    const std::uint64_t now = ts->host_now_us();
-    e.dur = now > e.ts ? now - e.ts : 0;
-    e.cluster = cluster;
-    e.track = trace::TrackKind::Runtime;
-    ts->record(e);
-  }
-#endif
-}
-
-void GemmRuntime::record_success(int cluster) {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  clusters_[static_cast<std::size_t>(cluster)].health.consecutive = 0;
+  trace_event("quarantined", "health", cluster, {}, since);
 }
 
 void GemmRuntime::record_failure(int cluster) {
   const ResilienceOptions& res = ro_.resilience;
+  count(&RuntimeStats::faults);
   bool trip = false;
   {
     const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++faults_;
     Health& h = clusters_[static_cast<std::size_t>(cluster)].health;
     ++h.failures;
     ++h.consecutive;
@@ -1223,11 +1121,10 @@ void GemmRuntime::record_failure(int cluster) {
       trip = true;
     }
   }
-  FTM_TRACE_COUNTER("runtime.faults", 1);
   if (trip) {
     queue_.set_enabled(cluster, false);
     FTM_TRACE_COUNTER("runtime.quarantines", 1);
-    trace_instant("quarantine", cluster);
+    trace_event("quarantine", "health", cluster);
   }
 }
 
@@ -1245,14 +1142,9 @@ int GemmRuntime::pick_retry_target(const Request& req) const {
   for (int c = 0; c < clusters(); ++c) {
     if (clusters_[static_cast<std::size_t>(c)].health.quarantined) continue;
     if (!tried(c)) return c;
-    if (fallback < 0 && c != last) fallback = c;
+    if (fallback < 0 || fallback == last) fallback = c;
   }
-  if (fallback >= 0) return fallback;
-  if (last >= 0 &&
-      !clusters_[static_cast<std::size_t>(last)].health.quarantined) {
-    return last;
-  }
-  return -1;
+  return fallback;
 }
 
 bool GemmRuntime::wall_deadline_passed(const Request& req) const {
@@ -1314,48 +1206,44 @@ std::uint64_t GemmRuntime::charge_lanes(ClusterState& cs,
 
 void GemmRuntime::deliver(Request& req, const core::GemmResult& r) {
   note_batch_member_done(req);
-  // completed_ is bumped before the promise is fulfilled so a caller that
+  // completed is counted before the promise is fulfilled so a caller that
   // wakes from future::get() observes a consistent stats() snapshot.
   if (!req.group) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++completed_;
-    }
+    count(&RuntimeStats::completed);
     req.promise.set_value(r);
     return;
   }
   SplitGroup& g = *req.group;
   const std::lock_guard<std::mutex> lock(g.mu);
   core::GemmResult& m = g.merged;
-  m.cycles = std::max(m.cycles, r.cycles);  // shards run concurrently
+  // Shards run concurrently: the makespan (and its checksum share) is the
+  // slowest shard's; traffic, work and host time add up.
+  m.cycles = std::max(m.cycles, r.cycles);
+  m.checksum_cycles = std::max(m.checksum_cycles, r.checksum_cycles);
   m.ddr_bytes += r.ddr_bytes;
   m.kernel_calls += r.kernel_calls;
-  m.strategy = r.strategy;
-  m.cores = r.cores;
+  m.host_wall_us += r.host_wall_us;
+  m.checksum_checks += r.checksum_checks;
+  m.sdc_detected += r.sdc_detected;
+  m.sdc_corrected += r.sdc_corrected;
+  m.strassen_levels = std::max(m.strassen_levels, r.strassen_levels);
+  if (!r.cpu_fallback) {  // a host-CPU shard has no strategy, cores or dtype
+    m.strategy = r.strategy;
+    m.cores = r.cores;
+    m.dtype = r.dtype;
+  }
   m.cpu_fallback = m.cpu_fallback || r.cpu_fallback;
   if (--g.remaining == 0 && !g.failed) {
-#if FTM_TRACE_ENABLED
-    if (trace::TraceSession* ts = trace::TraceSession::current()) {
-      trace::Event e;
-      e.name = "merged";
-      e.cat = "request";
-      e.ts = ts->host_now_us();
-      e.track = trace::TrackKind::Runtime;
-      e.arg("shards", static_cast<std::uint64_t>(g.shards));
-      e.arg("cycles", m.cycles);
-      ts->record(e);
-    }
-#endif
+    trace_event("merged", "request", -1,
+                {{"shards", static_cast<std::uint64_t>(g.shards)},
+                 {"cycles", m.cycles}});
     m.seconds = static_cast<double>(m.cycles) / (mc_.freq_ghz * 1e9);
     m.gflops = m.seconds > 0 ? g.flops / m.seconds / 1e9 : 0.0;
-    const double peak = mc_.core_peak_gflops() *
+    const double peak = mc_.core_peak_gflops() * core::peak_scale(m.dtype) *
                         static_cast<double>(m.cores) *
                         static_cast<double>(g.shards);
     m.efficiency = peak > 0 ? m.gflops / peak : 0.0;
-    {
-      const std::lock_guard<std::mutex> slock(stats_mu_);
-      ++completed_;
-    }
+    count(&RuntimeStats::completed);
     g.promise.set_value(m);
   }
 }
@@ -1401,17 +1289,13 @@ BatchResult GemmRuntime::run_all(std::span<const core::GemmInput> problems,
   futs.reserve(problems.size());
   auto enqueue = [&](const core::GemmInput& in,
                      const core::FtimmOptions& o, int c, int lane_limit) {
-    auto r = make_request(in, o);
     // run_all has no per-request QoS; the Normal-class integrity floor
     // still applies (batch work is not exempt from the ABFT policy).
-    r->opt.integrity = effective_integrity(o, QosOptions{});
+    auto r = make_request(in, o, QosOptions{});
     r->lane_limit = lane_limit;
     r->bound_cluster = c;
     futs.push_back(r->promise.get_future());
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++submitted_;
-    }
+    count(&RuntimeStats::submitted);
     queue_.push(c, std::move(r));
   };
 
@@ -1457,15 +1341,8 @@ BatchResult GemmRuntime::run_all(std::span<const core::GemmInput> problems,
   }
   if (first_err) std::rethrow_exception(first_err);
 
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    for (int c = 0; c < NC; ++c) {
-      std::uint64_t mk = 0;
-      for (const std::uint64_t t : clusters_[c].lanes) mk = std::max(mk, t);
-      br.cluster_cycles[c] = mk;
-      br.cycles = std::max(br.cycles, mk);
-    }
-  }
+  br.cluster_cycles = stats().cluster_busy_cycles;
+  br.cycles = latest(br.cluster_cycles);
   br.seconds = static_cast<double>(br.cycles) / (mc_.freq_ghz * 1e9);
   br.gflops = br.seconds > 0 ? br.flops / br.seconds / 1e9 : 0.0;
   return br;
@@ -1489,35 +1366,10 @@ bool GemmRuntime::quarantined(int cluster) const {
 
 RuntimeStats GemmRuntime::stats() const {
   const std::lock_guard<std::mutex> lock(stats_mu_);
-  RuntimeStats s;
-  s.submitted = submitted_;
-  s.completed = completed_;
-  s.failed = failed_;
-  s.executed = executed_;
-  s.plan_hits = plans_.hits();
-  s.plan_misses = plans_.misses();
-  s.tuned_plans = tuned_plans_;
-  s.steals = steals_;
-  s.splits = splits_;
-  s.faults = faults_;
-  s.retries = retries_;
-  s.fallbacks = fallbacks_;
-  s.deadline_misses = deadline_misses_;
-  s.rerouted = rerouted_;
-  s.batches = batches_;
-  s.coalesced = coalesced_;
-  s.rejected = rejected_;
-  s.batch_ddr_saved_bytes = batch_ddr_saved_;
-  s.checksum_checks = checksum_checks_;
-  s.sdc_detected = sdc_detected_;
-  s.sdc_corrected = sdc_corrected_;
-  s.recomputed_shards = recomputed_shards_;
-  s.node_dispatches = node_dispatches_;
+  RuntimeStats s = counters_;
   for (const auto& cs : clusters_) {
     s.cluster_requests.push_back(cs.requests);
-    std::uint64_t mk = 0;
-    for (const std::uint64_t t : cs.lanes) mk = std::max(mk, t);
-    s.cluster_busy_cycles.push_back(mk);
+    s.cluster_busy_cycles.push_back(latest(cs.lanes));
     s.cluster_failures.push_back(cs.health.failures);
     s.cluster_quarantines.push_back(cs.health.quarantines);
     s.cluster_probes.push_back(cs.health.probes);
@@ -1532,12 +1384,7 @@ std::vector<RequestStats> GemmRuntime::request_log() const {
 }
 
 std::uint64_t GemmRuntime::makespan_cycles() const {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  std::uint64_t mk = 0;
-  for (const auto& cs : clusters_) {
-    for (const std::uint64_t t : cs.lanes) mk = std::max(mk, t);
-  }
-  return mk;
+  return latest(stats().cluster_busy_cycles);
 }
 
 void GemmRuntime::reset_clocks() {
@@ -1551,20 +1398,20 @@ Table GemmRuntime::report() const {
   const RuntimeStats s = stats();
   std::vector<double> waits;
   std::vector<double> host_us;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    waits.reserve(log_.size());
-    host_us.reserve(log_.size());
-    for (const RequestStats& r : log_) {
-      waits.push_back(r.queue_wait_ms);
-      host_us.push_back(r.host_wall_us);
-    }
+  for (const RequestStats& r : request_log()) {
+    waits.push_back(r.queue_wait_ms);
+    host_us.push_back(r.host_wall_us);
   }
   Table t({"cluster", "requests", "busy_cycles", "plan_hits", "plan_misses",
            "tuned", "steals", "splits", "batches", "coalesced", "rejected",
            "faults", "retries", "fallbacks", "quarantines", "probes",
            "health", "wait_p50_ms", "wait_p95_ms", "host_p50_us",
            "host_p95_us"});
+  // Per-cluster rows fill the dispatch and health columns only; the
+  // request counters and latency percentiles are runtime-wide.
+  const auto blanks = [&t](int n) {
+    for (int i = 0; i < n; ++i) t.cell("");
+  };
   std::uint64_t total_q = 0, total_p = 0;
   for (std::size_t c = 0; c < s.cluster_requests.size(); ++c) {
     total_q += s.cluster_quarantines[c];
@@ -1572,25 +1419,14 @@ Table GemmRuntime::report() const {
     t.begin_row()
         .cell(static_cast<long long>(c))
         .cell(static_cast<std::size_t>(s.cluster_requests[c]))
-        .cell(static_cast<std::size_t>(s.cluster_busy_cycles[c]))
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell(static_cast<std::size_t>(s.cluster_failures[c]))
-        .cell("")
-        .cell("")
-        .cell(static_cast<std::size_t>(s.cluster_quarantines[c]))
+        .cell(static_cast<std::size_t>(s.cluster_busy_cycles[c]));
+    blanks(8);
+    t.cell(static_cast<std::size_t>(s.cluster_failures[c]));
+    blanks(2);
+    t.cell(static_cast<std::size_t>(s.cluster_quarantines[c]))
         .cell(static_cast<std::size_t>(s.cluster_probes[c]))
-        .cell(s.cluster_quarantined[c] ? "quarantined" : "ok")
-        .cell("")
-        .cell("")
-        .cell("")
-        .cell("");
+        .cell(s.cluster_quarantined[c] ? "quarantined" : "ok");
+    blanks(4);
   }
   t.begin_row()
       .cell("all")

@@ -1,11 +1,12 @@
-// TaskPool — a persistent host thread pool for batch fork-join work.
+// TaskPool — the one persistent host thread pool, for batch fork-join work.
 //
 // Built for the host execution engine (docs/performance.md): several
 // client threads (the runtime's per-cluster workers) each repeatedly hand
 // over a small batch of independent closures and block until their own
-// batch has finished. This is a different contract from cpu::ThreadPool,
-// whose single-epoch fork-join design admits exactly one job at a time;
-// here batches from different clients overlap freely on the same workers.
+// batch has finished; batches from different clients overlap freely on
+// the same workers. The host CPU GEMM (cpu::cpu_gemm, the runtime's CPU
+// fallback and the Fig. 7 baseline) hands over one row chunk per thread
+// the same way.
 //
 // The calling thread always participates: a pool constructed with
 // parallelism P spawns P-1 workers, so TaskPool(1) spawns no threads and

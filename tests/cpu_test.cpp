@@ -1,47 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/cpu/peak.hpp"
-#include "ftm/cpu/thread_pool.hpp"
 #include "ftm/util/prng.hpp"
+#include "ftm/util/task_pool.hpp"
 
 namespace ftm::cpu {
 namespace {
-
-TEST(ThreadPool, CoversFullRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t b, std::size_t e, unsigned) {
-    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossCalls) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 5; ++round) {
-    pool.parallel_for(100, [&](std::size_t b, std::size_t e, unsigned) {
-      total.fetch_add(static_cast<int>(e - b));
-    });
-  }
-  EXPECT_EQ(total.load(), 500);
-}
-
-TEST(ThreadPool, HandlesEmptyAndTinyRanges) {
-  ThreadPool pool(8);
-  std::atomic<int> n{0};
-  pool.parallel_for(0, [&](std::size_t, std::size_t, unsigned) {
-    n.fetch_add(1);
-  });
-  std::atomic<int> total{0};
-  pool.parallel_for(3, [&](std::size_t b, std::size_t e, unsigned) {
-    total.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(total.load(), 3);
-}
 
 TEST(ReferenceGemm, KnownSmallCase) {
   HostMatrix a(2, 3), b(3, 2), c(2, 2);
@@ -77,7 +42,7 @@ TEST_P(CpuGemmShapes, MatchesReference) {
     for (int j = 0; j < n; ++j) expect.at(i, j) = c.at(i, j);
   reference_gemm(a.view(), b.view(), expect.view());
 
-  ThreadPool pool(4);
+  TaskPool pool(4);
   cpu_gemm(a.view(), b.view(), c.view(), &pool);
   EXPECT_LT(max_rel_diff(c.view(), expect.view()), gemm_tolerance(k));
 }
@@ -100,10 +65,31 @@ TEST(CpuGemm, SingleThreadedPathMatches) {
   EXPECT_LT(max_rel_diff(c.view(), expect.view()), gemm_tolerance(40));
 }
 
+TEST(CpuGemm, PoolSizeDoesNotChangeBits) {
+  // Each row chunk runs the same packed loop nest, so C is bit-identical
+  // however many pool threads split the rows.
+  Prng rng(9);
+  HostMatrix a(203, 57), b(57, 45), serial(203, 45);
+  a.fill_random(rng);
+  b.fill_random(rng);
+  cpu_gemm(a.view(), b.view(), serial.view(), nullptr);
+  for (const unsigned threads : {2u, 3u, 7u}) {
+    TaskPool pool(threads);
+    HostMatrix c(203, 45);
+    cpu_gemm(a.view(), b.view(), c.view(), &pool);
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      for (std::size_t j = 0; j < c.cols(); ++j) {
+        ASSERT_EQ(c.at(i, j), serial.at(i, j))
+            << threads << " threads, (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
 TEST(Peak, MeasurementIsPositiveAndStable) {
   const double p1 = measure_single_core_peak_gflops(0.02);
   EXPECT_GT(p1, 0.1);
-  ThreadPool pool(2);
+  TaskPool pool(2);
   const double pa = measure_peak_gflops(pool, 0.03);
   // Aggregate throughput of two threads must at least resemble one core's
   // (loose: CI machines can be heavily shared).

@@ -8,14 +8,17 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftm/core/dgemm.hpp"
 #include "ftm/core/ftimm.hpp"
+#include "ftm/fault/fault.hpp"
 #include "ftm/runtime/runtime.hpp"
 #include "ftm/trace/chrome.hpp"
 #include "ftm/trace/counters.hpp"
 #include "ftm/trace/trace.hpp"
+#include "ftm/workload/generators.hpp"
 
 using namespace ftm;
 using core::FtimmOptions;
@@ -498,6 +501,146 @@ TEST(ChromeExport, RuntimeTraceCoversMultipleClusters) {
   EXPECT_EQ(session.counters().value("runtime.plan_hits") +
                 session.counters().value("runtime.plan_misses"),
             8u);
+}
+
+// ---- RuntimeStats and their trace counters -----------------------------
+
+// Every RuntimeStats counter has one trace twin. One traced session drives
+// each way a request enters or leaves the runtime; the summed stats of all
+// runtimes must equal the session's counters name for name.
+TEST(RuntimeCounters, StatsAgreeWithTraceTwins) {
+  using runtime::RuntimeStats;
+  const std::pair<std::uint64_t RuntimeStats::*, const char*> twins[] = {
+      {&RuntimeStats::submitted, "runtime.submitted"},
+      {&RuntimeStats::completed, "runtime.completed"},
+      {&RuntimeStats::failed, "runtime.failed"},
+      {&RuntimeStats::executed, "runtime.executed"},
+      {&RuntimeStats::plan_hits, "runtime.plan_hits"},
+      {&RuntimeStats::plan_misses, "runtime.plan_misses"},
+      {&RuntimeStats::tuned_plans, "runtime.tuned_plans"},
+      {&RuntimeStats::steals, "runtime.steals"},
+      {&RuntimeStats::splits, "runtime.splits"},
+      {&RuntimeStats::faults, "runtime.faults"},
+      {&RuntimeStats::retries, "runtime.retries"},
+      {&RuntimeStats::fallbacks, "runtime.fallbacks"},
+      {&RuntimeStats::deadline_misses, "runtime.deadline_misses"},
+      {&RuntimeStats::rerouted, "runtime.rerouted"},
+      {&RuntimeStats::batches, "runtime.batched"},
+      {&RuntimeStats::coalesced, "runtime.coalesced"},
+      {&RuntimeStats::rejected, "runtime.rejected"},
+      {&RuntimeStats::batch_ddr_saved_bytes, "runtime.batch_ddr_saved"},
+      {&RuntimeStats::checksum_checks, "integrity.checks"},
+      {&RuntimeStats::sdc_detected, "integrity.detected"},
+      {&RuntimeStats::sdc_corrected, "integrity.corrected"},
+      {&RuntimeStats::recomputed_shards, "integrity.recomputed"},
+      {&RuntimeStats::node_dispatches, "runtime.node_dispatches"},
+  };
+  RuntimeStats total;
+  const auto add = [&](const runtime::GemmRuntime& rt) {
+    const RuntimeStats s = rt.stats();
+    for (const auto& [field, name] : twins) total.*field += s.*field;
+  };
+
+  TraceSession session;
+  session.start();
+  {
+    // Plain, split and run_all submissions on one timing-only runtime.
+    runtime::RuntimeOptions ro;
+    ro.clusters = 2;
+    ro.gemm.functional = false;
+    runtime::GemmRuntime rt(ro);
+    rt.submit(GemmInput::shape_only(32768, 96, 2048)).get();  // both idle
+    rt.submit(GemmInput::shape_only(4096, 16, 512)).get();
+    rt.submit(GemmInput::shape_only(4096, 16, 512)).get();
+    const std::vector<GemmInput> problems(5,
+                                          GemmInput::shape_only(512, 16, 64));
+    rt.run_all(problems);
+    rt.wait_idle();
+    add(rt);
+  }
+  {
+    // Eight same-class requests coalesce into one batch sharing a
+    // pre-plan, and a shared B panel is staged once.
+    runtime::RuntimeOptions ro;
+    ro.clusters = 1;
+    ro.batching.enabled = true;
+    ro.batching.max_batch = 8;
+    ro.batching.max_delay_ms = 1e6;  // only the size trigger fires
+    runtime::GemmRuntime rt(ro);
+    std::vector<workload::GemmProblem> ps;
+    for (int i = 0; i < 8; ++i) {
+      ps.push_back(workload::make_problem(64, 16, 32, 40 + i));
+    }
+    std::vector<std::future<GemmResult>> futs;
+    for (auto& p : ps) {
+      futs.push_back(rt.submit(
+          GemmInput::bound(p.a.view(), ps.front().b.view(), p.c.view())));
+    }
+    for (auto& f : futs) f.get();
+    rt.wait_idle();
+    add(rt);
+  }
+  {
+    // Without a plan cache every dispatch is a miss.
+    runtime::RuntimeOptions ro;
+    ro.clusters = 1;
+    ro.plan_cache = false;
+    ro.gemm.functional = false;
+    runtime::GemmRuntime rt(ro);
+    for (int i = 0; i < 3; ++i) {
+      rt.submit(GemmInput::shape_only(1024, 16, 64)).get();
+    }
+    add(rt);
+  }
+  {
+    // Checksum-verified requests on a clean cluster, then seeded silent
+    // corruption on every cluster: each dispatch fails verification, is
+    // retried once elsewhere, and ends on the host CPU.
+    fault::FaultPlan plan;
+    plan.seed = 7;
+    runtime::RuntimeOptions ro;
+    ro.clusters = 2;
+    ro.integrity =
+        runtime::IntegrityPolicy::uniform(core::IntegrityMode::VerifyCorrect);
+    ro.resilience.enabled = true;
+    ro.resilience.max_retries = 1;
+    workload::GemmProblem clean = workload::make_problem(256, 32, 64, 3);
+    workload::GemmProblem hit = workload::make_problem(256, 32, 64, 4);
+    {
+      runtime::GemmRuntime rt(ro);
+      rt.submit(GemmInput::bound(clean.a.view(), clean.b.view(),
+                                 clean.c.view()))
+          .get();
+      add(rt);
+    }
+    for (int c = 0; c < 2; ++c) plan.cluster(c).silent_corruption_rate = 1;
+    fault::FaultInjector fi(plan);
+    ro.fault_injector = &fi;
+    runtime::GemmRuntime rt(ro);
+    EXPECT_TRUE(rt.submit(GemmInput::bound(hit.a.view(), hit.b.view(),
+                                           hit.c.view()))
+                    .get()
+                    .cpu_fallback);
+    rt.wait_idle();
+    add(rt);
+  }
+  session.stop();
+
+  const CounterRegistry counters = session.counters();
+  for (const auto& [field, name] : twins) {
+    EXPECT_EQ(counters.value(name), total.*field) << name;
+  }
+  // Every path above actually ran.
+  EXPECT_EQ(total.submitted, 21u);
+  EXPECT_EQ(total.splits, 1u);
+  EXPECT_EQ(total.coalesced, 8u);
+  EXPECT_GT(total.batch_ddr_saved_bytes, 0u);
+  EXPECT_GE(total.plan_misses, 3u);
+  EXPECT_EQ(total.retries, 1u);
+  EXPECT_EQ(total.fallbacks, 1u);
+  EXPECT_EQ(total.recomputed_shards, 2u);
+  EXPECT_GT(total.sdc_detected, 0u);
+  EXPECT_GT(total.checksum_checks, 0u);
 }
 
 #else  // !FTM_TRACE_ENABLED
