@@ -1,0 +1,256 @@
+// Host wall-clock of the simulator itself (docs/performance.md,
+// docs/tracing.md): execution-engine throughput across SIMD tier x pool
+// threads, and the overhead of an active trace session.
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "ftm/kernelgen/hostsimd.hpp"
+#include "ftm/trace/trace.hpp"
+#include "ftm/util/task_pool.hpp"
+#include "ftm/workload/generators.hpp"
+#include "harness.hpp"
+
+namespace ftm::bench {
+
+using core::FtimmOptions;
+using core::GemmInput;
+namespace hostsimd = kernelgen::hostsimd;
+
+namespace {
+
+double now_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Best-of-reps wall time of one functional GEMM, in milliseconds.
+double run_ms(core::FtimmEngine& eng, workload::GemmProblem& p,
+              const FtimmOptions& opt, int reps, core::GemmResult& out) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const double t0 = now_ms();
+    out = eng.sgemm(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()),
+                    opt);
+    best = std::min(best, now_ms() - t0);
+  }
+  return best;
+}
+
+/// The traced workload: three irregular GEMMs, functional (the
+/// configuration real users profile, where DMA memcpys and kernel math
+/// dominate) or timing-only (no data movement, so per-site
+/// instrumentation cost is as exposed as it can get).
+void trace_workload(core::FtimmEngine& eng, bool functional) {
+  FtimmOptions opt;
+  opt.functional = functional;
+  if (functional) {
+    // Sized so one run is a few ms of host work.
+    for (auto [m, n, k] : {std::array<std::size_t, 3>{1536, 32, 512},
+                           {256, 64, 2048},
+                           {2048, 96, 256}}) {
+      workload::GemmProblem p = workload::make_problem(m, n, k, /*seed=*/7);
+      (void)eng.sgemm(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()),
+                      opt);
+    }
+  } else {
+    for (auto [m, n, k] : {std::array<std::size_t, 3>{20480, 32, 2048},
+                           {4096, 32, 20480},
+                           {8192, 96, 4096}}) {
+      (void)eng.sgemm(GemmInput::shape_only(m, n, k), opt);
+    }
+  }
+}
+
+/// Per-rep paired measurement. Each rep times one untraced and one traced
+/// pass back-to-back so slow drift (thermal, page cache, competing load)
+/// hits both sides equally; the order alternates every rep to cancel any
+/// first-runner advantage. Two estimators come out: the MEDIAN of the
+/// per-rep overhead ratios (robust to single-rep scheduler blips) and the
+/// ratio of best-of floors (robust to sustained drift windows, since the
+/// floor of a deterministic workload is its true runtime). The gate takes
+/// the smaller — real overhead registers in both, while host noise (±4%
+/// heavy-tailed here, vs a true signal of 1871 events in ~200 ms ≈ 0.03%)
+/// rarely corrupts both the same way.
+struct Timing {
+  double untraced_ms = 1e300;  // best-of floors
+  double traced_ms = 1e300;
+  double median_pct = 0.0;
+
+  double gated_pct() const {
+    const double floor_pct =
+        untraced_ms > 0 ? (traced_ms - untraced_ms) / untraced_ms * 100.0
+                        : 0.0;
+    return std::min(median_pct, floor_pct);
+  }
+};
+
+Timing measure(core::FtimmEngine& eng, bool functional, int reps) {
+  Timing t;
+  std::vector<double> pcts;
+  for (int r = 0; r < reps; ++r) {
+    double off_ms = 0.0;
+    double on_ms = 0.0;
+    const bool traced_first = (r % 2) != 0;
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool traced = (leg == 0) == traced_first;
+      trace::TraceSession session;
+      if (traced) session.start();
+      const double t0 = now_ms();
+      trace_workload(eng, functional);
+      (traced ? on_ms : off_ms) = now_ms() - t0;
+      if (traced) session.stop();
+    }
+    t.untraced_ms = std::min(t.untraced_ms, off_ms);
+    t.traced_ms = std::min(t.traced_ms, on_ms);
+    if (off_ms > 0) pcts.push_back((on_ms - off_ms) / off_ms * 100.0);
+  }
+  if (!pcts.empty()) {
+    std::sort(pcts.begin(), pcts.end());
+    const std::size_t n = pcts.size();
+    t.median_pct =
+        (n % 2) ? pcts[n / 2] : 0.5 * (pcts[n / 2 - 1] + pcts[n / 2]);
+  }
+  return t;
+}
+
+}  // namespace
+
+// Wall-clock GEMMs/s, GFLOPS and DDR GB/s of functional runs across the
+// paper's shape taxonomy, swept over SIMD dispatch tier x host thread
+// count. Simulated cycles are identical in every cell (the determinism
+// gate in tests/host_exec_test.cpp enforces that); only host time moves.
+// Speedup is relative to (scalar tier, 1 thread), the pre-engine
+// configuration. --smoke shrinks the shapes so CI spends seconds.
+void suite_host(Ctx& ctx) {
+  const int reps = ctx.smoke ? 1 : 2;
+  struct Shape {
+    std::size_t m, n, k;
+    const char* cls;  ///< paper taxonomy label
+  };
+  std::vector<Shape> shapes;
+  if (ctx.smoke) {
+    shapes = {{256, 96, 256, "square"},
+              {4096, 32, 32, "tall"},
+              {32, 32, 4096, "deep"}};
+  } else {
+    shapes = {{1024, 96, 1024, "square"},
+              {65536, 32, 32, "tall"},
+              {32, 32, 65536, "deep"},
+              {2048, 64, 2048, "large"}};
+  }
+  std::vector<hostsimd::Tier> tiers = {hostsimd::Tier::Scalar};
+  if (hostsimd::best_tier() != hostsimd::Tier::Scalar) {
+    tiers.push_back(hostsimd::best_tier());
+  }
+
+  core::FtimmEngine eng;
+  TaskPool pool2(2), pool8(8);
+  const auto pool_for = [&](unsigned threads) -> TaskPool* {
+    if (threads == 2) return &pool2;
+    if (threads == 8) return &pool8;
+    return nullptr;  // 1 = inline, the pre-engine behavior
+  };
+
+  Table t({"shape", "class", "tier", "threads", "wall ms", "gemms/s",
+           "gflops", "ddr GB/s", "speedup"});
+  double headline = 0.0;  // best speedup of the (best tier, 8 threads) cell
+  const hostsimd::Tier prev = hostsimd::active_tier();
+  for (const Shape& s : shapes) {
+    workload::GemmProblem p =
+        workload::make_problem(s.m, s.n, s.k, /*seed=*/11);
+    FtimmOptions opt;
+    // Warm-up: kernel generation/calibration, plan choice, page faults.
+    core::GemmResult r;
+    (void)run_ms(eng, p, opt, 1, r);
+
+    double base_ms = 0.0;
+    for (const hostsimd::Tier tier : tiers) {
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        hostsimd::set_active_tier(tier);
+        opt.host_pool = pool_for(threads);
+        const double ms = run_ms(eng, p, opt, reps, r);
+        if (tier == hostsimd::Tier::Scalar && threads == 1) base_ms = ms;
+        const double flops = 2.0 * s.m * s.n * s.k;
+        const double speedup = ms > 0 ? base_ms / ms : 0.0;
+        if (tier == hostsimd::best_tier() && threads == 8) {
+          headline = std::max(headline, speedup);
+        }
+        t.begin_row()
+            .cell(shape_name(s.m, s.n, s.k))
+            .cell(s.cls)
+            .cell(hostsimd::to_string(tier))
+            .cell(static_cast<long long>(threads))
+            .cell(ms, 3)
+            .cell(ms > 0 ? 1000.0 / ms : 0.0, 1)
+            .cell(ms > 0 ? flops / (ms * 1e6) : 0.0, 2)
+            .cell(ms > 0 ? static_cast<double>(r.ddr_bytes) / (ms * 1e6)
+                         : 0.0,
+                  2)
+            .cell(speedup, 2);
+      }
+    }
+  }
+  hostsimd::set_active_tier(prev);
+
+  t.print("Host execution engine throughput (functional runs)");
+  ctx.csv(t, "host_throughput.csv");
+  std::printf("host parallelism: %u hw threads; best tier: %s\n",
+              std::thread::hardware_concurrency(),
+              hostsimd::to_string(hostsimd::best_tier()));
+  std::printf("headline speedup (best tier, 8 threads vs scalar, 1): "
+              "%.2fx\n",
+              headline);
+}
+
+// Overhead of the trace layer: the same GEMM workload with no session
+// installed vs an active one, gated on the functional workload at < 2%
+// over 11 paired reps. The timing-only worst case is reported, not gated.
+// Built with -DFTM_TRACE=OFF the instrumentation does not exist, so both
+// columns measure identical code.
+void suite_trace_overhead(Ctx& ctx) {
+  constexpr int kReps = 11;
+  constexpr double kLimitPct = 2.0;
+  // The untraced legs need no session installed; --trace installs one.
+  if (!ctx.check(trace::TraceSession::current() == nullptr,
+                 "trace_overhead: cannot measure under --trace")) {
+    return;
+  }
+  core::FtimmEngine eng;
+  Table t({"mode", "untraced ms", "traced ms", "overhead %", "events"});
+  double headline_pct = 0.0;
+  for (const bool functional : {true, false}) {
+    trace_workload(eng, functional);  // warm-up: kernel cache, page faults
+    const Timing tm = measure(eng, functional, kReps);
+    // Event volume of one traced pass, for context.
+    trace::TraceSession session;
+    session.start();
+    trace_workload(eng, functional);
+    session.stop();
+    t.begin_row()
+        .cell(functional ? "functional" : "timing-only")
+        .cell(tm.untraced_ms, 3)
+        .cell(tm.traced_ms, 3)
+        .cell(tm.gated_pct(), 2)
+        .cell(session.event_count());
+    if (functional) headline_pct = tm.gated_pct();
+  }
+  t.print("Trace overhead (active session vs none)");
+#if FTM_TRACE_ENABLED
+  std::printf("\ninstrumentation: compiled in (FTM_TRACE=ON)\n");
+#else
+  std::printf("\ninstrumentation: compiled out (FTM_TRACE=OFF)\n");
+#endif
+  ctx.check(headline_pct < kLimitPct,
+            "trace_overhead: functional overhead %.2f%% >= %.2f%% limit",
+            headline_pct, kLimitPct);
+  std::printf("headline (functional) overhead %.2f%% vs limit %.2f%%\n",
+              headline_pct, kLimitPct);
+}
+
+}  // namespace ftm::bench
