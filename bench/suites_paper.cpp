@@ -660,7 +660,7 @@ void suite_batched(Ctx& ctx) {
   for (const auto& c : cases) {
     std::vector<GemmInput> batch(c.batch,
                                  GemmInput::shape_only(c.m, c.n, c.k));
-    const core::BatchedResult br = core::sgemm_batched(eng, batch, opt);
+    const core::BatchResult br = core::sgemm_batched(eng, batch, opt);
     std::uint64_t seq = 0;
     for (const auto& in : batch) seq += eng.sgemm(in, opt).cycles;
     const double seq_secs =

@@ -275,7 +275,7 @@ void suite_runtime(Ctx& ctx) {
       ro.gemm = opt;
       ro.keep_request_log = false;
       GemmRuntime rt(ro);
-      const runtime::BatchResult br = rt.run_all(batch, opt);
+      const core::BatchResult br = rt.run_all(batch, opt);
       if (clusters == 1) base_seconds = br.seconds;
       t.begin_row()
           .cell(clusters)

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   }
 
   core::FtimmEngine engine;
-  const core::BatchedResult r = core::sgemm_batched(engine, batch);
+  const core::BatchResult r = core::sgemm_batched(engine, batch);
   std::printf("batch makespan  : %.3f ms simulated (%llu cycles)\n",
               r.seconds * 1e3, static_cast<unsigned long long>(r.cycles));
   std::printf("throughput      : %.1f GFlops aggregate (%zu small + %zu "

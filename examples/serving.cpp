@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.id), r.cluster,
         core::to_string(r.strategy), runtime::to_string(r.priority),
         r.queue_wait_ms, r.exec_ms,
-        static_cast<unsigned long long>(r.sim_cycles),
+        static_cast<unsigned long long>(r.cycles),
         r.plan_cache_hit ? "[plan hit]" : "[plan miss]",
         r.stolen ? " [stolen]" : "", r.shards > 1 ? " [split]" : "",
         r.batched ? " [batched]" : "");

@@ -16,16 +16,6 @@
 
 namespace ftm::core {
 
-struct BatchedResult {
-  std::uint64_t cycles = 0;  ///< makespan of the whole batch
-  double seconds = 0;
-  double gflops = 0;         ///< aggregate achieved throughput
-  double flops = 0;
-  std::size_t problems = 0;
-  std::size_t wide_problems = 0;   ///< ran on all cores, serially
-  std::size_t small_problems = 0;  ///< ran core-parallel across the batch
-};
-
 /// Executes every problem (C += A*B each); returns the batch makespan on
 /// the simulated cluster. Functional mode writes every problem's C. The
 /// wide/small split point is FtimmOptions::wide_problem_flops (rejected
@@ -33,9 +23,10 @@ struct BatchedResult {
 ///
 /// Implemented in ftm_runtime: this entry point is now a thin client of a
 /// single-cluster GemmRuntime (runtime/runtime.hpp), which owns the
-/// wide-serial + small-core-parallel scheduling model. Link ftm_runtime.
-BatchedResult sgemm_batched(FtimmEngine& engine,
-                            std::span<const GemmInput> problems,
-                            const FtimmOptions& opt = {});
+/// wide-serial + small-core-parallel scheduling model, and its BatchResult
+/// is returned as is. Link ftm_runtime.
+BatchResult sgemm_batched(FtimmEngine& engine,
+                          std::span<const GemmInput> problems,
+                          const FtimmOptions& opt = {});
 
 }  // namespace ftm::core

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "ftm/isa/machine.hpp"
 #include "ftm/kernelgen/spec.hpp"
 #include "ftm/util/matrix.hpp"
 
@@ -120,7 +122,7 @@ struct GemmResult {
   std::uint64_t cycles = 0;
   double seconds = 0;
   double gflops = 0;
-  double efficiency = 0;  ///< gflops / (cores * per-core peak)
+  double efficiency = 0;  ///< gflops / dtype peak of its cores
   Strategy strategy = Strategy::Auto;
   int cores = 0;
   std::uint64_t ddr_bytes = 0;     ///< DDR traffic (both directions)
@@ -145,6 +147,38 @@ struct GemmResult {
   kernelgen::DType dtype = kernelgen::DType::F32;
   /// Strassen recursion depth actually taken (0 = no Strassen level).
   int strassen_levels = 0;
+
+  /// Serial merge: `o` ran after this on the same cores, so cycles (and
+  /// checksum cycles) add. Traffic, work, host time and ABFT counts add;
+  /// the recursion depth is the deeper one; strategy, cores and dtype
+  /// follow `o` unless it is a CPU-fallback result, which has none.
+  void add(const GemmResult& o);
+  /// Concurrent merge: `o` ran alongside this on other cores, so the
+  /// makespan (and its checksum share) is the slower one's. Everything
+  /// else merges as in add().
+  void add_parallel(const GemmResult& o);
+
+  friend bool operator==(const GemmResult&, const GemmResult&) = default;
+};
+
+/// The one place a result's rates are derived: seconds from `r.cycles` at
+/// the machine clock, gflops from `flops` over those seconds, and
+/// efficiency against `cores` cores at the peak of `r.dtype` (peak_scale:
+/// half the FP32 peak for F64, double for the DOT2 half formats). Merged
+/// results pass every core they ran on (e.g. cores x shards).
+void derive_rates(GemmResult& r, double flops, int cores,
+                  const isa::MachineConfig& mc);
+
+/// What a batch of GEMMs cost (GemmRuntime::run_all, sgemm_batched): the
+/// members folded with add_parallel, with `cycles` the lane makespan —
+/// small members stack on shared lanes, so it can exceed the slowest
+/// member — and rates against every core of every cluster.
+struct BatchResult : GemmResult {
+  double flops = 0;
+  std::size_t problems = 0;
+  std::size_t wide_problems = 0;   ///< full-cluster, serial per cluster
+  std::size_t small_problems = 0;  ///< one core each, lane-parallel
+  std::vector<std::uint64_t> cluster_cycles;  ///< per-cluster makespan
 };
 
 }  // namespace ftm::core

@@ -31,6 +31,44 @@ const char* to_string(IntegrityMode m) {
   return "?";
 }
 
+namespace {
+
+void merge(GemmResult& into, const GemmResult& o, bool parallel) {
+  into.cycles =
+      parallel ? std::max(into.cycles, o.cycles) : into.cycles + o.cycles;
+  into.checksum_cycles =
+      parallel ? std::max(into.checksum_cycles, o.checksum_cycles)
+               : into.checksum_cycles + o.checksum_cycles;
+  into.ddr_bytes += o.ddr_bytes;
+  into.kernel_calls += o.kernel_calls;
+  into.host_wall_us += o.host_wall_us;
+  into.checksum_checks += o.checksum_checks;
+  into.sdc_detected += o.sdc_detected;
+  into.sdc_corrected += o.sdc_corrected;
+  into.strassen_levels = std::max(into.strassen_levels, o.strassen_levels);
+  if (!o.cpu_fallback) {
+    into.strategy = o.strategy;
+    into.cores = o.cores;
+    into.dtype = o.dtype;
+  }
+  into.cpu_fallback = into.cpu_fallback || o.cpu_fallback;
+}
+
+}  // namespace
+
+void GemmResult::add(const GemmResult& o) { merge(*this, o, false); }
+
+void GemmResult::add_parallel(const GemmResult& o) { merge(*this, o, true); }
+
+void derive_rates(GemmResult& r, double flops, int cores,
+                  const isa::MachineConfig& mc) {
+  r.seconds = static_cast<double>(r.cycles) / (mc.freq_ghz * 1e9);
+  r.gflops = r.seconds > 0 ? flops / r.seconds / 1e9 : 0.0;
+  const double peak = mc.core_peak_gflops() * peak_scale(r.dtype) *
+                      static_cast<double>(cores);
+  r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
+}
+
 FtimmEngine::FtimmEngine(const isa::MachineConfig& mc)
     : FtimmEngine(mc, std::make_shared<kernelgen::KernelCache>(mc)) {}
 
@@ -212,10 +250,7 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
   }
   r.checksum_cycles = checksum_cost_cycles(mc_, in, r.cores);
   r.cycles += r.checksum_cycles;
-  r.seconds = cluster_.cycles_to_seconds(r.cycles);
-  r.gflops = cluster_.gflops(in.flops(), r.cycles);
-  const double peak = mc_.core_peak_gflops() * static_cast<double>(r.cores);
-  r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
+  derive_rates(r, in.flops(), r.cores, mc_);
   FTM_TRACE_COUNTER("integrity.cycles", r.checksum_cycles);
   return r;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "ftm/core/roofline.hpp"
 #include "ftm/core/strategies.hpp"
 #include "ftm/util/half.hpp"
 
@@ -103,21 +102,10 @@ GemmResult hgemm_f32(FtimmEngine& engine, const GemmInput& in,
       hin.ldb = nw;
       hin.ldc = in.c.ld();
     }
-    const GemmResult pr = hgemm(engine, hin, opt);
-    r.cycles += pr.cycles;
-    r.ddr_bytes += pr.ddr_bytes;
-    r.kernel_calls += pr.kernel_calls;
-    r.host_wall_us += pr.host_wall_us;
-    r.strategy = pr.strategy;
-    r.dtype = pr.dtype;
-    r.cores = pr.cores;
+    r.add(hgemm(engine, hin, opt));
   }
   // Zero-padded K adds no useful flops; report rates for the true shape.
-  r.seconds = engine.cluster().cycles_to_seconds(r.cycles);
-  r.gflops = engine.cluster().gflops(in.flops(), r.cycles);
-  const double peak = engine.machine().core_peak_gflops() *
-                      peak_scale(opt.dtype) * static_cast<double>(opt.cores);
-  r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
+  derive_rates(r, in.flops(), opt.cores, engine.machine());
   return r;
 }
 

@@ -1,6 +1,7 @@
 #include "ftm/core/strassen.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <vector>
 
 #include "ftm/sim/dma.hpp"
@@ -9,14 +10,6 @@
 namespace ftm::core {
 
 namespace {
-
-/// Cost/traffic accumulated across the recursion tree.
-struct Acc {
-  std::uint64_t cycles = 0;
-  std::uint64_t ddr_bytes = 0;
-  std::uint64_t kernel_calls = 0;
-  int levels = 0;
-};
 
 struct Ctx {
   FtimmEngine& engine;
@@ -48,7 +41,7 @@ std::uint64_t pass_cycles(const isa::MachineConfig& mc, std::size_t elems,
 /// happen either way, so results are unaffected. `elems` is passed
 /// explicitly so timing-only runs (empty views) charge the same cycles
 /// as functional ones.
-void ewise(Ctx& c, Acc& acc, std::size_t elems, MatrixView out,
+void ewise(Ctx& c, GemmResult& acc, std::size_t elems, MatrixView out,
            ConstMatrixView x, ConstMatrixView y, float sign) {
   acc.cycles += pass_cycles(c.engine.machine(), elems, 1);
   acc.ddr_bytes += elems * 4;
@@ -62,7 +55,7 @@ void ewise(Ctx& c, Acc& acc, std::size_t elems, MatrixView out,
 }
 
 /// c += sign * m (elementwise accumulate); charges one 3-stream pass.
-void accum(Ctx& c, Acc& acc, std::size_t elems, MatrixView dst,
+void accum(Ctx& c, GemmResult& acc, std::size_t elems, MatrixView dst,
            ConstMatrixView m, float sign) {
   acc.cycles += pass_cycles(c.engine.machine(), elems, 3);
   acc.ddr_bytes += elems * 4 * 3;
@@ -74,9 +67,9 @@ void accum(Ctx& c, Acc& acc, std::size_t elems, MatrixView dst,
   }
 }
 
-void recurse(Ctx& c, Acc& acc, std::size_t m, std::size_t n, std::size_t k,
-             ConstMatrixView a, ConstMatrixView b, MatrixView cc,
-             int level) {
+void recurse(Ctx& c, GemmResult& acc, std::size_t m, std::size_t n,
+             std::size_t k, ConstMatrixView a, ConstMatrixView b,
+             MatrixView cc, int level) {
   const std::size_t maxd = std::max({m, n, k});
   if (maxd <= c.cutoff || m % 2 != 0 || n % 2 != 0 || k % 2 != 0 || m < 2 ||
       n < 2 || k < 2) {
@@ -87,11 +80,8 @@ void recurse(Ctx& c, Acc& acc, std::size_t m, std::size_t n, std::size_t k,
     // top of the best available leaf.
     GemmInput in = c.fn ? GemmInput::bound(a, b, cc)
                         : GemmInput::shape_only(m, n, k);
-    const GemmResult r = c.engine.sgemm_autotuned(in, c.base_opt);
-    acc.cycles += r.cycles;
-    acc.ddr_bytes += r.ddr_bytes;
-    acc.kernel_calls += r.kernel_calls;
-    acc.levels = std::max(acc.levels, level);
+    acc.add(c.engine.sgemm_autotuned(in, c.base_opt));
+    acc.strassen_levels = std::max(acc.strassen_levels, level);
     return;
   }
   const std::size_t m2 = m / 2, n2 = n / 2, k2 = k / 2;
@@ -176,7 +166,7 @@ void recurse(Ctx& c, Acc& acc, std::size_t m, std::size_t n, std::size_t k,
   ewise(c, acc, eb, tb, B(1, 0), B(1, 1), 1.0f);
   product(ta, tb, {{0, 0, 1.0f}});
 
-  acc.levels = std::max(acc.levels, level + 1);
+  acc.strassen_levels = std::max(acc.strassen_levels, level + 1);
 }
 
 }  // namespace
@@ -184,6 +174,7 @@ void recurse(Ctx& c, Acc& acc, std::size_t m, std::size_t n, std::size_t k,
 GemmResult strassen_gemm(FtimmEngine& engine, const GemmInput& in,
                          std::size_t cutoff, const FtimmOptions& opt) {
   FTM_EXPECTS(in.m >= 1 && in.n >= 1 && in.k >= 1);
+  const auto wall_start = std::chrono::steady_clock::now();
   Ctx c{engine,
         opt,
         cutoff == 0 ? kStrassenDefaultCutoff : cutoff,
@@ -199,23 +190,17 @@ GemmResult strassen_gemm(FtimmEngine& engine, const GemmInput& in,
                 in.c.data() != nullptr);
   }
 
-  Acc acc;
-  recurse(c, acc, in.m, in.n, in.k, in.a, in.b, in.c, 0);
-
+  // The leaves add serially (one cluster runs them one after another);
+  // the elementwise passes add their cycles and traffic in between.
   GemmResult r;
-  r.cycles = acc.cycles;
-  r.seconds = engine.cluster().cycles_to_seconds(r.cycles);
-  r.gflops = engine.cluster().gflops(in.flops(), r.cycles);
-  const double peak =
-      engine.machine().core_peak_gflops() * static_cast<double>(opt.cores);
-  r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
+  recurse(c, r, in.m, in.n, in.k, in.a, in.b, in.c, 0);
   r.strategy = Strategy::Strassen;
-  r.cores = opt.cores;
-  r.ddr_bytes = acc.ddr_bytes;
-  r.kernel_calls = acc.kernel_calls;
-  r.strassen_levels = acc.levels;
+  derive_rates(r, in.flops(), opt.cores, engine.machine());
+  r.host_wall_us = std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
   FTM_TRACE_COUNTER("strassen.levels",
-                    static_cast<std::uint64_t>(acc.levels));
+                    static_cast<std::uint64_t>(r.strassen_levels));
   return r;
 }
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "ftm/core/exec.hpp"
-#include "ftm/core/roofline.hpp"
 #include "ftm/core/types.hpp"
 #include "ftm/kernelgen/hostsimd.hpp"
 #include "ftm/kernelgen/microkernel.hpp"
@@ -206,22 +205,17 @@ struct RunCtx {
 #endif
   }
 
-  /// Closes the run: efficiency is against the peak of `dtype` (half the
-  /// FP32 peak for F64, double for the DOT2 half formats).
+  /// Closes the run; rates come from derive_rates at the peak of `dtype`.
   GemmResult finish(std::size_t m, std::size_t n, std::size_t k, Strategy s,
                     kernelgen::DType dtype = kernelgen::DType::F32) {
     exec.flush();  // C must be fully written before the caller reads it
     cl.barrier();
     GemmResult r;
     r.cycles = cl.max_time();
-    r.seconds = cl.cycles_to_seconds(r.cycles);
-    r.gflops = cl.gflops(2.0 * m * n * k, r.cycles);
-    const double peak = cl.machine().core_peak_gflops() * peak_scale(dtype) *
-                        static_cast<double>(opt.cores);
-    r.efficiency = peak > 0 ? r.gflops / peak : 0.0;
     r.strategy = s;
     r.cores = opt.cores;
     r.dtype = dtype;
+    derive_rates(r, 2.0 * m * n * k, opt.cores, cl.machine());
     r.ddr_bytes = ddr_bytes;
     r.kernel_calls = kernel_calls;
     r.host_wall_us =

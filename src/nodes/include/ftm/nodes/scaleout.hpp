@@ -62,7 +62,7 @@ struct NodeOptions {
   LinkConfig link;
   /// Charge cycles for shipping A/B from the root node before compute.
   /// Off models pre-distributed operands (the steady state of iterative
-  /// workloads); bench_nodes sweeps both.
+  /// workloads); `ftm_bench nodes` sweeps both.
   bool model_input_distribution = true;
   /// Canonical tile sizes — shape-derived, node-count independent. Both
   /// must stay fixed across runs being compared for bit-identity.
@@ -79,11 +79,11 @@ struct NodeOptions {
   std::vector<fault::FaultInjector*> fault_injectors;
 };
 
-/// What one sharded GEMM cost, per phase and per node.
-struct NodeResult {
-  std::uint64_t cycles = 0;  ///< makespan over alive nodes, node clock
-  double seconds = 0;
-  double gflops = 0;
+/// What one sharded GEMM cost, per phase and per node. The base record's
+/// cycles are the makespan over alive nodes (node clock), its dtype and
+/// cores the request's, its efficiency against every core of every
+/// cluster of the alive nodes, and host_wall_us the whole call.
+struct NodeResult : core::GemmResult {
   int grid_p = 0;
   int grid_q = 0;
   int tiles = 0;  ///< canonical M-tiles x K-panels cells

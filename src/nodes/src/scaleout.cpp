@@ -1,6 +1,7 @@
 #include "ftm/nodes/scaleout.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 
 #include "ftm/trace/trace.hpp"
@@ -143,6 +144,7 @@ NodeResult NodeCluster::gemm(const core::GemmInput& in,
                              const core::FtimmOptions& opt) {
   std::lock_guard<std::mutex> lock(mu_);
   FTM_EXPECTS(in.m > 0 && in.n > 0 && in.k > 0);
+  const auto wall_start = std::chrono::steady_clock::now();
   const bool functional = opt.functional && in.c.data() != nullptr;
   if (functional) {
     FTM_EXPECTS(in.a.rows() == in.m && in.a.cols() == in.k);
@@ -269,7 +271,7 @@ NodeResult NodeCluster::gemm(const core::GemmInput& in,
       }
       auto& ns = nodes_[static_cast<std::size_t>(node_id)];
       try {
-        const runtime::BatchResult br = ns.rt->run_all(problems, cell_opt);
+        const core::BatchResult br = ns.rt->run_all(problems, cell_opt);
         clocks[static_cast<std::size_t>(node_id)] += br.cycles;
         ns.cells += node_cells.size();
       } catch (const FaultError&) {
@@ -333,10 +335,12 @@ NodeResult NodeCluster::gemm(const core::GemmInput& in,
 
   res.cycles = max_clock(clocks, ids);
   res.reduce_cycles = res.cycles - std::min(t_compute, res.cycles);
-  res.seconds =
-      static_cast<double>(res.cycles) / (no_.machine.freq_ghz * 1e9);
-  res.gflops =
-      res.seconds > 0 ? in.flops() / res.seconds * 1e-9 : 0.0;
+  res.cores = opt.cores;
+  res.dtype = opt.dtype;
+  core::derive_rates(res, in.flops(),
+                     no_.machine.cores_per_cluster * no_.runtime.clusters *
+                         static_cast<int>(ids.size()),
+                     no_.machine);
   res.link_bytes = net_.total_bytes() - bytes0;
   res.node_cycles = std::move(clocks);
 
@@ -348,24 +352,16 @@ NodeResult NodeCluster::gemm(const core::GemmInput& in,
     FTM_TRACE_COUNTER("nodes.resharded_tiles",
                       static_cast<std::uint64_t>(res.resharded_tiles));
   }
+  res.host_wall_us = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - wall_start)
+                         .count();
   last_ = res;
   return res;
 }
 
 core::GemmResult NodeCluster::run(const core::GemmInput& in,
                                   const core::FtimmOptions& opt) {
-  const NodeResult nr = gemm(in, opt);
-  core::GemmResult r;
-  r.cycles = nr.cycles;
-  r.seconds = nr.seconds;
-  r.gflops = nr.gflops;
-  r.strategy = core::Strategy::Auto;
-  r.cores = opt.cores;
-  const double peak = no_.machine.cluster_peak_gflops() *
-                      no_.runtime.clusters *
-                      std::max(1, alive_nodes());
-  r.efficiency = peak > 0 ? nr.gflops / peak : 0.0;
-  return r;
+  return gemm(in, opt);  // the record without the per-phase breakdown
 }
 
 Table NodeCluster::report() const {

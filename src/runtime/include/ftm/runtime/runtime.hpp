@@ -168,18 +168,6 @@ struct RuntimeOptions {
   double node_problem_flops = 8.0 * 1024 * 1024 * 1024;
 };
 
-/// Result of run_all(): the simulated makespan of a whole batch.
-struct BatchResult {
-  std::uint64_t cycles = 0;  ///< max over clusters of their lane makespan
-  double seconds = 0;
-  double gflops = 0;  ///< aggregate throughput: flops / makespan
-  double flops = 0;
-  std::size_t problems = 0;
-  std::size_t wide_problems = 0;   ///< full-cluster, serial per cluster
-  std::size_t small_problems = 0;  ///< one core each, lane-parallel
-  std::vector<std::uint64_t> cluster_cycles;  ///< per-cluster makespan
-};
-
 /// Outcome of try_submit(): the future (engaged iff accepted) or the
 /// typed reason admission control refused the request. Rejected
 /// submissions never execute, never touch C, and are counted in
@@ -246,9 +234,9 @@ class GemmRuntime {
   /// async submissions. If any problem fails, the first failure is
   /// rethrown — after every future has resolved, so no work is left in
   /// flight.
-  BatchResult run_all(std::span<const core::GemmInput> problems);
-  BatchResult run_all(std::span<const core::GemmInput> problems,
-                      const core::FtimmOptions& opt);
+  core::BatchResult run_all(std::span<const core::GemmInput> problems);
+  core::BatchResult run_all(std::span<const core::GemmInput> problems,
+                            const core::FtimmOptions& opt);
 
   /// Blocks until every submitted request has completed.
   void wait_idle();

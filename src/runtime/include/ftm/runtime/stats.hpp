@@ -12,8 +12,12 @@
 namespace ftm::runtime {
 
 /// Lifecycle of one dispatch (a request, one shard of a split request, or
-/// one retry of either — each dispatch appends its own record).
-struct RequestStats {
+/// one retry of either — each dispatch appends its own record). The base
+/// is the GemmResult the dispatch delivered, so a delivered record has
+/// host_wall_us > 0 unless it is a CPU fallback. A dispatch that delivered
+/// nothing keeps a default base apart from the IntegrityError detections
+/// (sdc_detected) and the cpu_fallback flag.
+struct RequestStats : core::GemmResult {
   std::uint64_t id = 0;          ///< submission order, 1-based
   int cluster = -1;              ///< cluster that executed it
   bool plan_cache_hit = false;   ///< strategy/block selection skipped
@@ -23,19 +27,11 @@ struct RequestStats {
   int attempt = 0;               ///< 0 = first dispatch, n = nth retry
   bool fault = false;            ///< dispatch ended in a FaultError
   bool deadline_missed = false;  ///< wall or simulated deadline blown
-  bool cpu_fallback = false;     ///< resolved on the host CPU
   bool failed = false;           ///< resolved its future with an exception
   double queue_wait_ms = 0;      ///< host wall-clock submit -> dispatch
-  double exec_ms = 0;            ///< host wall-clock dispatch -> done
-  /// Host wall-µs inside the engine call itself (GemmResult::host_wall_us):
-  /// exec_ms minus plan lookup and dispatch overhead. The host execution
-  /// engine's speedup shows up here. 0 for CPU-fallback dispatches.
-  double host_wall_us = 0;
-  std::uint64_t sim_cycles = 0;  ///< simulated cluster cycles
-  core::Strategy strategy = core::Strategy::Auto;
-  /// Compute dtype the dispatch ran at (ISSUE 10, docs/precision.md).
-  kernelgen::DType dtype = kernelgen::DType::F32;
-  int strassen_levels = 0;  ///< recursion depth when strategy == Strassen
+  /// Host wall-clock dispatch -> done; minus host_wall_us (the engine
+  /// call) it is the plan lookup and dispatch overhead.
+  double exec_ms = 0;
   // QoS / coalescing (ISSUE 7). finish_cycle - arrival_cycle is the
   // request's simulated latency; the replay benchmark computes goodput
   // from it against the deadline the caller assigned.
@@ -46,11 +42,6 @@ struct RequestStats {
   bool batched = false;             ///< dispatched as a batch member
   std::uint64_t batch_id = 0;       ///< flush order, 1-based; 0 = none
   int batch_size = 0;               ///< members in its batch at flush
-  // ABFT integrity (ISSUE 8, docs/robustness.md). Counted per dispatch;
-  // a recompute after an IntegrityError appends its own record.
-  std::uint64_t checksum_checks = 0;  ///< row+col checksum comparisons
-  std::uint64_t sdc_detected = 0;     ///< checksum mismatches observed
-  std::uint64_t sdc_corrected = 0;    ///< elements repaired in place
 };
 
 /// Aggregate counters; a consistent snapshot taken under the stats lock.

@@ -9,15 +9,13 @@
 
 namespace ftm::core {
 
-BatchedResult sgemm_batched(FtimmEngine& engine,
-                            std::span<const GemmInput> problems,
-                            const FtimmOptions& opt) {
+BatchResult sgemm_batched(FtimmEngine& engine,
+                          std::span<const GemmInput> problems,
+                          const FtimmOptions& opt) {
   FTM_EXPECTS(opt.cores >= 1 &&
               opt.cores <= engine.machine().cores_per_cluster);
   FTM_EXPECTS(opt.wide_problem_flops > 0);
-  BatchedResult res;
-  res.problems = problems.size();
-  if (problems.empty()) return res;
+  if (problems.empty()) return {};
 
   runtime::RuntimeOptions ro;
   ro.gemm = opt;
@@ -25,15 +23,7 @@ BatchedResult sgemm_batched(FtimmEngine& engine,
   ro.split_wide = false;
   ro.keep_request_log = false;
   runtime::GemmRuntime rt(std::vector<FtimmEngine*>{&engine}, ro);
-  const runtime::BatchResult br = rt.run_all(problems, opt);
-
-  res.cycles = br.cycles;
-  res.seconds = br.seconds;
-  res.gflops = br.gflops;
-  res.flops = br.flops;
-  res.wide_problems = br.wide_problems;
-  res.small_problems = br.small_problems;
-  return res;
+  return rt.run_all(problems, opt);
 }
 
 }  // namespace ftm::core

@@ -10,7 +10,6 @@
 #include <tuple>
 #include <utility>
 
-#include "ftm/core/roofline.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/runtime/node_tier.hpp"
 #include "ftm/trace/trace.hpp"
@@ -877,17 +876,6 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
   rs.exec_ms = ms_between(t_start, std::chrono::steady_clock::now());
   rs.fault = is_fault;
   if (ok) {
-    rs.sim_cycles = result.cycles;
-    rs.strategy = result.strategy;
-    rs.dtype = result.dtype;
-    rs.strassen_levels = result.strassen_levels;
-    if (result.strassen_levels > 0) {
-      FTM_TRACE_COUNTER("strassen.levels", result.strassen_levels);
-    }
-    rs.host_wall_us = result.host_wall_us;
-    rs.checksum_checks = result.checksum_checks;
-    rs.sdc_detected = result.sdc_detected;
-    rs.sdc_corrected = result.sdc_corrected;
     if (result.checksum_checks > 0 || result.sdc_detected > 0) {
       // The engine already traced these as integrity.*.
       count(&RuntimeStats::checksum_checks, result.checksum_checks, false);
@@ -902,13 +890,14 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
       result.ddr_bytes -= save;
       count(&RuntimeStats::batch_ddr_saved_bytes, save);
     }
+    static_cast<core::GemmResult&>(rs) = result;  // the row is the record
   }
   trace_event("queued", "request", cluster, {{"id", req->id}},
               req->submit_time, t_start);
   trace_event("execute", "request", cluster,
               {{"id", req->id},
                {"plan_hit", rs.plan_cache_hit ? 1u : 0u},
-               {"sim_cycles", rs.sim_cycles}},
+               {"sim_cycles", rs.cycles}},
               t_start);
   count(&RuntimeStats::executed);
   if (stolen) count(&RuntimeStats::steals);
@@ -1216,47 +1205,28 @@ void GemmRuntime::deliver(Request& req, const core::GemmResult& r) {
   SplitGroup& g = *req.group;
   const std::lock_guard<std::mutex> lock(g.mu);
   core::GemmResult& m = g.merged;
-  // Shards run concurrently: the makespan (and its checksum share) is the
-  // slowest shard's; traffic, work and host time add up.
-  m.cycles = std::max(m.cycles, r.cycles);
-  m.checksum_cycles = std::max(m.checksum_cycles, r.checksum_cycles);
-  m.ddr_bytes += r.ddr_bytes;
-  m.kernel_calls += r.kernel_calls;
-  m.host_wall_us += r.host_wall_us;
-  m.checksum_checks += r.checksum_checks;
-  m.sdc_detected += r.sdc_detected;
-  m.sdc_corrected += r.sdc_corrected;
-  m.strassen_levels = std::max(m.strassen_levels, r.strassen_levels);
-  if (!r.cpu_fallback) {  // a host-CPU shard has no strategy, cores or dtype
-    m.strategy = r.strategy;
-    m.cores = r.cores;
-    m.dtype = r.dtype;
-  }
-  m.cpu_fallback = m.cpu_fallback || r.cpu_fallback;
+  m.add_parallel(r);  // shards run concurrently on their own clusters
   if (--g.remaining == 0 && !g.failed) {
     trace_event("merged", "request", -1,
                 {{"shards", static_cast<std::uint64_t>(g.shards)},
                  {"cycles", m.cycles}});
-    m.seconds = static_cast<double>(m.cycles) / (mc_.freq_ghz * 1e9);
-    m.gflops = m.seconds > 0 ? g.flops / m.seconds / 1e9 : 0.0;
-    const double peak = mc_.core_peak_gflops() * core::peak_scale(m.dtype) *
-                        static_cast<double>(m.cores) *
-                        static_cast<double>(g.shards);
-    m.efficiency = peak > 0 ? m.gflops / peak : 0.0;
+    core::derive_rates(m, g.flops, m.cores * g.shards, mc_);
     count(&RuntimeStats::completed);
     g.promise.set_value(m);
   }
 }
 
-BatchResult GemmRuntime::run_all(std::span<const core::GemmInput> problems) {
+core::BatchResult GemmRuntime::run_all(
+    std::span<const core::GemmInput> problems) {
   return run_all(problems, ro_.gemm);
 }
 
-BatchResult GemmRuntime::run_all(std::span<const core::GemmInput> problems,
-                                 const core::FtimmOptions& opt) {
+core::BatchResult GemmRuntime::run_all(
+    std::span<const core::GemmInput> problems,
+    const core::FtimmOptions& opt) {
   validate(opt);
   const int NC = clusters();
-  BatchResult br;
+  core::BatchResult br;
   br.problems = problems.size();
   br.cluster_cycles.assign(static_cast<std::size_t>(NC), 0);
   if (problems.empty()) return br;
@@ -1334,17 +1304,20 @@ BatchResult GemmRuntime::run_all(std::span<const core::GemmInput> problems,
   std::exception_ptr first_err;
   for (auto& f : futs) {
     try {
-      f.get();
+      br.add_parallel(f.get());
     } catch (...) {
       if (!first_err) first_err = std::current_exception();
     }
   }
   if (first_err) std::rethrow_exception(first_err);
 
+  // Small members stack on shared lanes, so the makespan is the lane
+  // clocks', not the slowest member's; a batch mixes strategies.
   br.cluster_cycles = stats().cluster_busy_cycles;
   br.cycles = latest(br.cluster_cycles);
-  br.seconds = static_cast<double>(br.cycles) / (mc_.freq_ghz * 1e9);
-  br.gflops = br.seconds > 0 ? br.flops / br.seconds / 1e9 : 0.0;
+  br.strategy = core::Strategy::Auto;
+  br.cores = opt.cores;
+  core::derive_rates(br, br.flops, NC * opt.cores, mc_);
   return br;
 }
 

@@ -100,10 +100,6 @@ class Cluster {
     return trace_epoch_ + timelines_[static_cast<std::size_t>(c)].now();
   }
 
-  /// Convert a cluster cycle count to seconds / to achieved GFlops.
-  double cycles_to_seconds(std::uint64_t cycles) const;
-  double gflops(double flops, std::uint64_t cycles) const;
-
  private:
   isa::MachineConfig mc_;
   int id_ = 0;

@@ -150,13 +150,4 @@ void Cluster::reset() {
   }
 }
 
-double Cluster::cycles_to_seconds(std::uint64_t cycles) const {
-  return static_cast<double>(cycles) / (mc_.freq_ghz * 1e9);
-}
-
-double Cluster::gflops(double flops, std::uint64_t cycles) const {
-  const double secs = cycles_to_seconds(cycles);
-  return secs <= 0 ? 0.0 : flops / secs / 1e9;
-}
-
 }  // namespace ftm::sim

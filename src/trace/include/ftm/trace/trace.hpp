@@ -22,7 +22,7 @@
 // out of sim/core/runtime entirely — the hot path is byte-identical to an
 // untraced build. The TraceSession class itself always exists so tools can
 // link unconditionally; with tracing compiled out it simply never receives
-// events. bench_trace_overhead measures both configurations.
+// events. `ftm_bench trace_overhead` measures both configurations.
 #pragma once
 
 #include <chrono>

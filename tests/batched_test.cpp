@@ -15,7 +15,7 @@ FtimmEngine& engine() {
 }
 
 TEST(Batched, EmptyBatchIsZero) {
-  const BatchedResult r = sgemm_batched(engine(), {});
+  const BatchResult r = sgemm_batched(engine(), {});
   EXPECT_EQ(r.cycles, 0u);
   EXPECT_EQ(r.problems, 0u);
 }
@@ -41,7 +41,7 @@ TEST(Batched, EveryProblemComputedCorrectly) {
   for (auto& p : probs) {
     inputs.push_back(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()));
   }
-  const BatchedResult r = sgemm_batched(engine(), inputs);
+  const BatchResult r = sgemm_batched(engine(), inputs);
   EXPECT_EQ(r.problems, probs.size());
   EXPECT_GT(r.cycles, 0u);
   for (std::size_t i = 0; i < probs.size(); ++i) {
@@ -57,7 +57,7 @@ TEST(Batched, SmallProblemsClassifiedSmall) {
     inputs.push_back(GemmInput::shape_only(128, 16, 16));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(r.small_problems, 16u);
   EXPECT_EQ(r.wide_problems, 0u);
 }
@@ -66,7 +66,7 @@ TEST(Batched, LargeProblemsRunWide) {
   std::vector<GemmInput> inputs{GemmInput::shape_only(20480, 96, 4096)};
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(r.wide_problems, 1u);
 }
 
@@ -79,7 +79,7 @@ TEST(Batched, BatchParallelBeatsSequentialWide) {
     inputs.push_back(GemmInput::shape_only(256, 16, 16));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult batched = sgemm_batched(engine(), inputs, opt);
+  const BatchResult batched = sgemm_batched(engine(), inputs, opt);
   std::uint64_t sequential = 0;
   for (const auto& in : inputs) sequential += engine().sgemm(in, opt).cycles;
   EXPECT_LT(batched.cycles, sequential);
@@ -92,9 +92,9 @@ TEST(Batched, MakespanScalesDownWithCores) {
   FtimmOptions opt;
   opt.functional = false;
   opt.cores = 1;
-  const BatchedResult c1 = sgemm_batched(engine(), inputs, opt);
+  const BatchResult c1 = sgemm_batched(engine(), inputs, opt);
   opt.cores = 8;
-  const BatchedResult c8 = sgemm_batched(engine(), inputs, opt);
+  const BatchResult c8 = sgemm_batched(engine(), inputs, opt);
   EXPECT_LT(c8.cycles, c1.cycles);
   // Bandwidth-shared, so under 8x; but meaningfully parallel.
   EXPECT_GT(static_cast<double>(c1.cycles) / c8.cycles, 1.5);
@@ -106,7 +106,7 @@ TEST(Batched, AllWideBatchRunsSerially) {
   std::vector<GemmInput> inputs(3, GemmInput::shape_only(20480, 96, 2048));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(r.wide_problems, 3u);
   EXPECT_EQ(r.small_problems, 0u);
   std::uint64_t serial = 0;
@@ -120,7 +120,7 @@ TEST(Batched, AllSmallMoreProblemsThanCores) {
   std::vector<GemmInput> inputs(20, GemmInput::shape_only(256, 16, 16));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(r.small_problems, 20u);
   FtimmOptions sub = opt;
   sub.cores = 1;
@@ -140,7 +140,7 @@ TEST(Batched, MixedMakespanIsWidePhasePlusLongestLane) {
   inputs.push_back(GemmInput::shape_only(24576, 96, 2048));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(r.wide_problems, 2u);
   EXPECT_EQ(r.small_problems, 13u);
   const std::uint64_t wide_phase =
@@ -169,10 +169,10 @@ TEST(Batched, WideThresholdIsTunable) {
   std::vector<GemmInput> inputs(4, GemmInput::shape_only(512, 16, 32));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult hi = sgemm_batched(engine(), inputs, opt);
+  const BatchResult hi = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(hi.small_problems, 4u);
   opt.wide_problem_flops = 1024;  // everything is "wide" now
-  const BatchedResult lo = sgemm_batched(engine(), inputs, opt);
+  const BatchResult lo = sgemm_batched(engine(), inputs, opt);
   EXPECT_EQ(lo.wide_problems, 4u);
   EXPECT_EQ(lo.small_problems, 0u);
 }
@@ -186,7 +186,7 @@ TEST(Batched, AggregateFlopsAccounted) {
   }
   FtimmOptions opt;
   opt.functional = false;
-  const BatchedResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = sgemm_batched(engine(), inputs, opt);
   EXPECT_DOUBLE_EQ(r.flops, flops);
   EXPECT_GT(r.gflops, 0);
 }

@@ -330,13 +330,6 @@ TEST(Cluster, TimingOnlyModeSkipsCopies) {
   EXPECT_GT(cl.timeline(0).now(), 0u);
 }
 
-TEST(Cluster, GflopsConversion) {
-  Cluster cl;
-  // 1.8e9 cycles == 1 second.
-  EXPECT_NEAR(cl.cycles_to_seconds(1'800'000'000ull), 1.0, 1e-12);
-  EXPECT_NEAR(cl.gflops(345.6e9, 1'800'000'000ull), 345.6, 1e-9);
-}
-
 TEST(Cluster, ResetClearsState) {
   Cluster cl;
   cl.core(0).am().alloc(1024);

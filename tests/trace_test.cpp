@@ -369,10 +369,12 @@ TEST(GoldenTrace, CountersMatchGemmResult) {
 }
 
 TEST(GoldenTrace, HalfRequestCountsDtypeOnce) {
-  // kernel.dtype is cumulative: one F16 request through the runtime adds
-  // its dtype id (2) exactly once, not once per layer it passes.
+  // kernel.dtype and strassen.levels are cumulative: one F16 request
+  // through the runtime adds its dtype id (2) exactly once, and one
+  // Strassen request its recursion depth, not once per layer it passes.
   TraceSession session;
   session.start();
+  int levels = 0;
   {
     runtime::RuntimeOptions ro;
     ro.clusters = 1;
@@ -381,10 +383,19 @@ TEST(GoldenTrace, HalfRequestCountsDtypeOnce) {
     FtimmOptions opt = ro.gemm;
     opt.dtype = DType::F16;
     rt.submit(GemmInput::shape_only(4096, 32, 512), opt).get();
+    FtimmOptions strassen = ro.gemm;
+    strassen.force = Strategy::Strassen;
+    strassen.strassen_cutoff = 128;
+    levels = rt.submit(GemmInput::shape_only(512, 512, 512), strassen)
+                 .get()
+                 .strassen_levels;
   }
   session.stop();
   EXPECT_EQ(session.counters().value("kernel.dtype"),
             static_cast<std::uint64_t>(DType::F16));
+  EXPECT_EQ(levels, 2);
+  EXPECT_EQ(session.counters().value("strassen.levels"),
+            static_cast<std::uint64_t>(levels));
 }
 
 TEST(GoldenTrace, DmaSpansSerializePerEngine) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Diff two bench_perf_gate JSON files and fail on cycle regressions.
+"""Diff two `ftm_bench gate` JSON files and fail on cycle regressions.
 
 Usage: bench_compare.py BASELINE CURRENT [--tolerance PCT]
 
@@ -20,7 +20,7 @@ fail the gate: wall time is machine- and load-dependent, unlike the
 bit-reproducible cycle counts.
 
 An entry marked "informational": true (e.g. the replay goodput figures
-bench_runtime --replay --json emits) is exempt from every rule above: it
+`ftm_bench replay --json` emits) is exempt from every rule above: it
 is printed for trend visibility, never compared, and never required to
 be present in CURRENT — the perf-gate matrix and informational metrics
 come from different producers.
