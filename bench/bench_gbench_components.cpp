@@ -4,6 +4,9 @@
 // SGEMM, and the simulation throughput of a full GEMM dispatch.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "ftm/core/ftimm.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/kernelgen/microkernel.hpp"
@@ -39,20 +42,37 @@ void BM_KernelCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelCacheHit);
 
+/// One run_fast call per iteration; args (dtype, ms, ka, na), one spec per
+/// host register-tile instantiation.
 void BM_KernelFastPath(benchmark::State& state) {
-  kernelgen::KernelCache cache;
-  const kernelgen::KernelSpec spec{8, 512, 96};
-  const kernelgen::MicroKernel& uk = cache.get(spec);
-  const int ld = spec.am_row_floats();
-  std::vector<float> a(spec.ms * spec.ka, 0.5f), b(spec.ka * ld, 0.25f),
-      c(spec.ms * ld, 0.0f);
+  kernelgen::KernelSpec spec{static_cast<int>(state.range(1)),
+                             static_cast<int>(state.range(2)),
+                             static_cast<int>(state.range(3))};
+  spec.dtype = static_cast<kernelgen::DType>(state.range(0));
+  const kernelgen::MicroKernel uk(spec, isa::default_machine());
+  // Zero operands are valid in every format, and FMA timing does not
+  // depend on the values; doubles give 8-byte-aligned raw storage.
+  std::vector<double> a(spec.a_bytes() / 8 + 1), b(spec.b_bytes() / 8 + 1),
+      c(spec.c_bytes() / 8 + 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(uk.run_fast(a.data(), b.data(), c.data()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(spec.flops()));
+  state.SetLabel(std::string(kernelgen::to_string(spec.dtype)) + " ku=" +
+                 std::to_string(uk.tiling().ku) +
+                 " tile_rows=" + std::to_string(uk.host_tile_rows()));
 }
-BENCHMARK(BM_KernelFastPath);
+constexpr auto kF32 = static_cast<std::int64_t>(kernelgen::DType::F32);
+constexpr auto kF64 = static_cast<std::int64_t>(kernelgen::DType::F64);
+constexpr auto kF16 = static_cast<std::int64_t>(kernelgen::DType::F16);
+BENCHMARK(BM_KernelFastPath)
+    ->ArgNames({"dtype", "ms", "ka", "na"})
+    ->Args({kF32, 8, 512, 96})
+    ->Args({kF32, 12, 512, 32})
+    ->Args({kF32, 16, 255, 17})
+    ->Args({kF64, 8, 256, 48})
+    ->Args({kF16, 8, 512, 64});
 
 void BM_CpuGemm(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

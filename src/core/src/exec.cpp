@@ -30,24 +30,7 @@ void HostExecEngine::run_op(const Op& op) {
       std::memset(op.dst, 0, op.n);
       return;
     case Op::Kind::Kernel:
-      switch (op.uk->spec().dtype) {
-        case kernelgen::DType::F32:
-          op.uk->run_fast(static_cast<const float*>(op.src),
-                          static_cast<const float*>(op.src2),
-                          static_cast<float*>(op.dst));
-          return;
-        case kernelgen::DType::F64:
-          op.uk->run_fast_f64(static_cast<const double*>(op.src),
-                              static_cast<const double*>(op.src2),
-                              static_cast<double*>(op.dst));
-          return;
-        case kernelgen::DType::F16:
-        case kernelgen::DType::BF16:
-          op.uk->run_fast_half(static_cast<const std::uint16_t*>(op.src),
-                               static_cast<const std::uint32_t*>(op.src2),
-                               static_cast<float*>(op.dst));
-          return;
-      }
+      op.uk->run_fast(op.src, op.src2, op.dst);
       return;
     case Op::Kind::Add:
       kernelgen::hostsimd::add_f32(static_cast<float*>(op.dst),

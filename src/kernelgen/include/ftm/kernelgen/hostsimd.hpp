@@ -1,28 +1,25 @@
-// Host SIMD fast paths for the functional micro-kernel and the strategy
-// reduction loops (docs/performance.md).
+// Host SIMD tiers: the instruction set MicroKernel::run_fast's register
+// tile runs on (src/kernelgen/src/tile.hpp), plus the elementwise loops of
+// the strategy reductions and the graph executor (docs/performance.md).
 //
-// Every primitive here is elementwise: element x of the output depends
-// only on element x of the inputs, through exactly one IEEE-754 operation
-// (a fused multiply-add or an addition). A vectorized implementation
-// therefore produces bit-identical results to the scalar loop — AVX2
-// vfmadd/NEON vfma are single-rounding fused ops exactly like std::fmaf —
-// so the dispatch tier can change freely without changing a single output
-// bit. Tests (host_exec_test) enforce this on every supported tier.
+// Each primitive here is elementwise: output element x depends only on
+// input element(s) x through one IEEE-754 operation, so every tier gives
+// the scalar loop's bits. run_fast keeps that property by fixing each C
+// element's order of operations. host_exec_test and kernelgen_test check
+// both on every supported tier.
 //
 // Dispatch is decided at runtime from CPUID (x86) or baked in (NEON is
-// baseline on AArch64); the AVX2 bodies are compiled with per-function
-// target attributes so the rest of the build needs no -march flags, and a
-// -march=x86-64-v3 CI leg runs them on the CI hosts.
+// baseline on AArch64). AVX2 code is compiled with target attributes or a
+// target pragma, so the build needs no -march flags.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace ftm::kernelgen::hostsimd {
 
 enum class Tier {
-  Scalar = 0,  ///< portable std::fmaf/std::fma loops
-  Avx2 = 1,    ///< AVX2 + FMA3, runtime-detected on x86-64
+  Scalar = 0,  ///< portable one-lane loops (std::fma in run_fast)
+  Avx2 = 1,    ///< AVX2 + FMA3 + F16C, runtime-detected on x86-64
   Neon = 2,    ///< baseline on AArch64
 };
 
@@ -40,15 +37,9 @@ Tier set_active_tier(Tier t);
 
 /// Every entry point below validates its operands the way sgemm does —
 /// null arrays with a non-zero length throw ftm::ContractViolation rather
-/// than silently reading through nullptr (the asserts-only gap ISSUE 6's
-/// bugfix sweep closed).
+/// than silently reading through nullptr.
 
-/// acc[x] = fma(a, x_[x], acc[x]) for x in [0, n) — the micro-kernel's
-/// bank-accumulate step (one A element against one padded B/C row).
-void fmadd_f32(float* acc, float a, const float* x_, std::size_t n);
-void fmadd_f64(double* acc, double a, const double* x_, std::size_t n);
-
-/// acc[x] += x_[x] for x in [0, n) — bank reduction / GSM partial merge,
+/// acc[x] += x_[x] for x in [0, n) — the strategies' GSM partial merge
 /// and the graph executor's elementwise add/bias ops.
 void add_f32(float* acc, const float* x_, std::size_t n);
 void add_f64(double* acc, const double* x_, std::size_t n);
@@ -57,20 +48,5 @@ void add_f64(double* acc, const double* x_, std::size_t n);
 /// ReLU. Defined via compare-and-mask on every tier, so NaN and -0.0
 /// inputs produce +0.0 identically under scalar, AVX2, and NEON dispatch.
 void relu_f32(float* x_, std::size_t n);
-
-/// 2-way half dot-product accumulate — the host replay of VFMULAH32.
-/// Each b[x] packs a k-adjacent half pair (lo16 = even k, hi16 = odd k);
-/// (a0, a1) is the matching broadcast A pair. Per element:
-///   acc[x] = fma(widen(a1), widen(b.hi), fma(widen(a0), widen(b.lo),
-///                acc[x]))
-/// with the low pair's FMA strictly first. Widening is exact on every
-/// tier (F16C VCVTPH2PS / bf16 shift == ftm::util conversions), so all
-/// tiers are bit-identical for finite and subnormal operands. The AVX2
-/// body of the f16 variant additionally requires F16C at runtime and
-/// falls back to scalar without it; bf16 needs only AVX2+FMA.
-void dot2_f16(float* acc, std::uint16_t a0, std::uint16_t a1,
-              const std::uint32_t* b, std::size_t n);
-void dot2_bf16(float* acc, std::uint16_t a0, std::uint16_t a1,
-               const std::uint32_t* b, std::size_t n);
 
 }  // namespace ftm::kernelgen::hostsimd

@@ -7,9 +7,10 @@
 // Because a kernel's cycle count is independent of its operand values and
 // its shape is baked into the program, that single measurement is exact for
 // every subsequent call — so GEMM strategies use `run_fast`, which performs
-// numerically identical host math (same fmaf order, same accumulator banks)
-// and charges the calibrated cycles. Tests assert detailed and fast paths
-// agree bit-for-bit.
+// numerically identical host math (same fma order, same accumulator banks,
+// kept in host registers by one tile template for every dtype) and charges
+// the calibrated cycles. Tests assert detailed and fast paths agree
+// bit-for-bit on every host SIMD tier.
 #pragma once
 
 #include <cstdint>
@@ -46,22 +47,21 @@ class MicroKernel {
   sim::ExecResult run_detailed(sim::DspCore& core, std::size_t a_off,
                                std::size_t b_off, std::size_t c_off) const;
 
-  /// Fast path: identical math on raw pointers (lda = ka elements, ldb =
-  /// ldc = vn*lanes elements); returns the calibrated cycle cost. F32
-  /// kernels only.
-  std::uint64_t run_fast(const float* a, const float* b, float* c) const;
+  /// Fast path: the same math on raw host pointers, laid out as in AM/SM
+  /// (A row pitch ka elements; B and C row pitch am_row_elems()), in the
+  /// kernel's own dtype. F32/F64: A, B and C hold that type. F16/BF16: A
+  /// holds halves (ka even-padded), B holds kpairs() rows of pair words
+  /// (low half = even k, high half = odd k), C is FP32. Runs register
+  /// tiles that keep each C element's accumulation order (bank k % ku,
+  /// then an ascending bank reduce), so C is bit-identical to
+  /// run_detailed on every hostsimd tier. Returns the calibrated cycles.
+  /// Throws ContractViolation on a null operand.
+  std::uint64_t run_fast(const void* a, const void* b, void* c) const;
 
-  /// FP64 fast path (extension kernels).
-  std::uint64_t run_fast_f64(const double* a, const double* b,
-                             double* c) const;
-
-  /// FP16/BF16 fast path. `a` is row-major halves (row pitch = ka, even-
-  /// padded), `b` is the pair-interleaved AM panel (kpairs rows of vn*32
-  /// words; word = lo half for even k | hi half for odd k << 16), `c` is
-  /// FP32 with the usual vn*32 row pitch. Same dot2 order as VFMULAH32 on
-  /// the detailed core, so the two paths agree bit-for-bit.
-  std::uint64_t run_fast_half(const std::uint16_t* a, const std::uint32_t* b,
-                              float* c) const;
+  /// Rows of C one host register tile of run_fast holds: a fixed
+  /// constant per (dtype, ku), reported so tests can assert coverage and
+  /// benchmarks can name the tile they timed.
+  int host_tile_rows() const;
 
   /// Timing-only: the calibrated cycles without touching data.
   std::uint64_t cost_only() const { return calib_.cycles; }
@@ -74,11 +74,11 @@ class MicroKernel {
   sim::ExecResult calib_;
 };
 
-/// Memoizes MicroKernel instances per (ms, ka, na, load_c). Thread-safe:
-/// one cache may be shared by engines driving different clusters from
-/// different threads (kernels are immutable once built, so only the map
-/// itself needs the lock; a kernel's first generation+calibration happens
-/// under it, exactly once per shape process-wide).
+/// Memoizes MicroKernel instances per (ms, ka, na, load_c, dtype).
+/// Thread-safe: one cache may be shared by engines driving different
+/// clusters from different threads (kernels are immutable once built, so
+/// only the map itself needs the lock; a kernel's first generation+
+/// calibration happens under it, exactly once per shape process-wide).
 class KernelCache {
  public:
   explicit KernelCache(const isa::MachineConfig& mc = isa::default_machine());

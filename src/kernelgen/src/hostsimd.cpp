@@ -1,10 +1,8 @@
 #include "ftm/kernelgen/hostsimd.hpp"
 
 #include <atomic>
-#include <cmath>
 
 #include "ftm/util/assert.hpp"
-#include "ftm/util/half.hpp"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -21,15 +19,6 @@ namespace {
 
 // ---- Scalar reference bodies (the only tier every host has) -------------
 
-void fmadd_f32_scalar(float* acc, float a, const float* x_, std::size_t n) {
-  for (std::size_t x = 0; x < n; ++x) acc[x] = std::fmaf(a, x_[x], acc[x]);
-}
-
-void fmadd_f64_scalar(double* acc, double a, const double* x_,
-                      std::size_t n) {
-  for (std::size_t x = 0; x < n; ++x) acc[x] = std::fma(a, x_[x], acc[x]);
-}
-
 void add_f32_scalar(float* acc, const float* x_, std::size_t n) {
   for (std::size_t x = 0; x < n; ++x) acc[x] += x_[x];
 }
@@ -42,59 +31,12 @@ void relu_f32_scalar(float* x_, std::size_t n) {
   for (std::size_t x = 0; x < n; ++x) x_[x] = x_[x] > 0.0f ? x_[x] : 0.0f;
 }
 
-void dot2_f16_scalar(float* acc, std::uint16_t a0, std::uint16_t a1,
-                     const std::uint32_t* b, std::size_t n) {
-  const float wa0 = util::f16_to_f32(a0);
-  const float wa1 = util::f16_to_f32(a1);
-  for (std::size_t x = 0; x < n; ++x) {
-    const float b0 = util::f16_to_f32(static_cast<std::uint16_t>(b[x]));
-    const float b1 = util::f16_to_f32(static_cast<std::uint16_t>(b[x] >> 16));
-    acc[x] = std::fmaf(wa1, b1, std::fmaf(wa0, b0, acc[x]));
-  }
-}
-
-void dot2_bf16_scalar(float* acc, std::uint16_t a0, std::uint16_t a1,
-                      const std::uint32_t* b, std::size_t n) {
-  const float wa0 = util::bf16_to_f32(a0);
-  const float wa1 = util::bf16_to_f32(a1);
-  for (std::size_t x = 0; x < n; ++x) {
-    const float b0 = util::bf16_to_f32(static_cast<std::uint16_t>(b[x]));
-    const float b1 =
-        util::bf16_to_f32(static_cast<std::uint16_t>(b[x] >> 16));
-    acc[x] = std::fmaf(wa1, b1, std::fmaf(wa0, b0, acc[x]));
-  }
-}
-
 #if defined(FTM_HOSTSIMD_X86)
 
 // ---- AVX2 + FMA3 bodies (per-function target attributes) ----------------
 // The callers feed rows padded to vn*32 floats / vn*16 doubles, so n is a
 // multiple of the vector width on the hot path; the scalar tails below
 // only fire for odd n from the generic add_* entry points.
-
-FTM_AVX2_FN void fmadd_f32_avx2(float* acc, float a, const float* x_,
-                                std::size_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const __m256 vx = _mm256_loadu_ps(x_ + x);
-    const __m256 vc = _mm256_loadu_ps(acc + x);
-    _mm256_storeu_ps(acc + x, _mm256_fmadd_ps(va, vx, vc));
-  }
-  for (; x < n; ++x) acc[x] = std::fmaf(a, x_[x], acc[x]);
-}
-
-FTM_AVX2_FN void fmadd_f64_avx2(double* acc, double a, const double* x_,
-                                std::size_t n) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    const __m256d vx = _mm256_loadu_pd(x_ + x);
-    const __m256d vc = _mm256_loadu_pd(acc + x);
-    _mm256_storeu_pd(acc + x, _mm256_fmadd_pd(va, vx, vc));
-  }
-  for (; x < n; ++x) acc[x] = std::fma(a, x_[x], acc[x]);
-}
 
 FTM_AVX2_FN void add_f32_avx2(float* acc, const float* x_, std::size_t n) {
   std::size_t x = 0;
@@ -127,81 +69,9 @@ FTM_AVX2_FN void relu_f32_avx2(float* x_, std::size_t n) {
   for (; x < n; ++x) x_[x] = x_[x] > 0.0f ? x_[x] : 0.0f;
 }
 
-// F16C widening (VCVTPH2PS) is exact, like util::f16_to_f32; the two
-// chained fmadds keep the scalar body's low-pair-first evaluation order.
-__attribute__((target("avx2,fma,f16c"))) void dot2_f16_avx2(
-    float* acc, std::uint16_t a0, std::uint16_t a1, const std::uint32_t* b,
-    std::size_t n) {
-  const __m256 wa0 = _mm256_set1_ps(util::f16_to_f32(a0));
-  const __m256 wa1 = _mm256_set1_ps(util::f16_to_f32(a1));
-  const __m128i mask16 = _mm_set1_epi32(0xFFFF);
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + x));
-    const __m128i lo = _mm256_castsi256_si128(v);
-    const __m128i hi = _mm256_extracti128_si256(v, 1);
-    // Deinterleave the pair words into 8 even-k and 8 odd-k halves.
-    const __m128i evens = _mm_packus_epi32(_mm_and_si128(lo, mask16),
-                                           _mm_and_si128(hi, mask16));
-    const __m128i odds = _mm_packus_epi32(_mm_srli_epi32(lo, 16),
-                                          _mm_srli_epi32(hi, 16));
-    const __m256 wb0 = _mm256_cvtph_ps(evens);
-    const __m256 wb1 = _mm256_cvtph_ps(odds);
-    const __m256 vc = _mm256_loadu_ps(acc + x);
-    _mm256_storeu_ps(
-        acc + x, _mm256_fmadd_ps(wa1, wb1, _mm256_fmadd_ps(wa0, wb0, vc)));
-  }
-  if (x < n) dot2_f16_scalar(acc + x, a0, a1, b + x, n - x);
-}
-
-FTM_AVX2_FN void dot2_bf16_avx2(float* acc, std::uint16_t a0,
-                                std::uint16_t a1, const std::uint32_t* b,
-                                std::size_t n) {
-  const __m256 wa0 = _mm256_set1_ps(util::bf16_to_f32(a0));
-  const __m256 wa1 = _mm256_set1_ps(util::bf16_to_f32(a1));
-  const __m256i himask = _mm256_set1_epi32(
-      static_cast<std::int32_t>(0xFFFF0000u));
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + x));
-    // bf16 widens by a 16-bit shift into the top of a binary32 — exact.
-    const __m256 wb0 = _mm256_castsi256_ps(_mm256_slli_epi32(v, 16));
-    const __m256 wb1 = _mm256_castsi256_ps(_mm256_and_si256(v, himask));
-    const __m256 vc = _mm256_loadu_ps(acc + x);
-    _mm256_storeu_ps(
-        acc + x, _mm256_fmadd_ps(wa1, wb1, _mm256_fmadd_ps(wa0, wb0, vc)));
-  }
-  if (x < n) dot2_bf16_scalar(acc + x, a0, a1, b + x, n - x);
-}
-
-bool f16c_supported() {
-  static const bool ok = __builtin_cpu_supports("f16c") != 0;
-  return ok;
-}
-
 #elif defined(FTM_HOSTSIMD_NEON)
 
 // ---- NEON bodies (baseline ISA on AArch64, no dispatch needed) ----------
-
-void fmadd_f32_neon(float* acc, float a, const float* x_, std::size_t n) {
-  const float32x4_t va = vdupq_n_f32(a);
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    vst1q_f32(acc + x, vfmaq_f32(vld1q_f32(acc + x), va, vld1q_f32(x_ + x)));
-  }
-  for (; x < n; ++x) acc[x] = std::fmaf(a, x_[x], acc[x]);
-}
-
-void fmadd_f64_neon(double* acc, double a, const double* x_, std::size_t n) {
-  const float64x2_t va = vdupq_n_f64(a);
-  std::size_t x = 0;
-  for (; x + 2 <= n; x += 2) {
-    vst1q_f64(acc + x, vfmaq_f64(vld1q_f64(acc + x), va, vld1q_f64(x_ + x)));
-  }
-  for (; x < n; ++x) acc[x] = std::fma(a, x_[x], acc[x]);
-}
 
 void add_f32_neon(float* acc, const float* x_, std::size_t n) {
   std::size_t x = 0;
@@ -217,41 +87,6 @@ void add_f64_neon(double* acc, const double* x_, std::size_t n) {
     vst1q_f64(acc + x, vaddq_f64(vld1q_f64(acc + x), vld1q_f64(x_ + x)));
   }
   for (; x < n; ++x) acc[x] += x_[x];
-}
-
-#if defined(__ARM_FP16_FORMAT_IEEE)
-void dot2_f16_neon(float* acc, std::uint16_t a0, std::uint16_t a1,
-                   const std::uint32_t* b, std::size_t n) {
-  const float32x4_t wa0 = vdupq_n_f32(util::f16_to_f32(a0));
-  const float32x4_t wa1 = vdupq_n_f32(util::f16_to_f32(a1));
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    const uint32x4_t v = vld1q_u32(b + x);
-    const uint16x4_t evens = vmovn_u32(vandq_u32(v, vdupq_n_u32(0xFFFF)));
-    const uint16x4_t odds = vmovn_u32(vshrq_n_u32(v, 16));
-    const float32x4_t wb0 = vcvt_f32_f16(vreinterpret_f16_u16(evens));
-    const float32x4_t wb1 = vcvt_f32_f16(vreinterpret_f16_u16(odds));
-    const float32x4_t vc = vld1q_f32(acc + x);
-    vst1q_f32(acc + x, vfmaq_f32(vfmaq_f32(vc, wa0, wb0), wa1, wb1));
-  }
-  if (x < n) dot2_f16_scalar(acc + x, a0, a1, b + x, n - x);
-}
-#endif
-
-void dot2_bf16_neon(float* acc, std::uint16_t a0, std::uint16_t a1,
-                    const std::uint32_t* b, std::size_t n) {
-  const float32x4_t wa0 = vdupq_n_f32(util::bf16_to_f32(a0));
-  const float32x4_t wa1 = vdupq_n_f32(util::bf16_to_f32(a1));
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    const uint32x4_t v = vld1q_u32(b + x);
-    const float32x4_t wb0 = vreinterpretq_f32_u32(vshlq_n_u32(v, 16));
-    const float32x4_t wb1 =
-        vreinterpretq_f32_u32(vandq_u32(v, vdupq_n_u32(0xFFFF0000u)));
-    const float32x4_t vc = vld1q_f32(acc + x);
-    vst1q_f32(acc + x, vfmaq_f32(vfmaq_f32(vc, wa0, wb0), wa1, wb1));
-  }
-  if (x < n) dot2_bf16_scalar(acc + x, a0, a1, b + x, n - x);
 }
 
 void relu_f32_neon(float* x_, std::size_t n) {
@@ -275,7 +110,8 @@ bool supported(Tier t) {
       return true;
     case Tier::Avx2:
 #if defined(FTM_HOSTSIMD_X86)
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+             __builtin_cpu_supports("f16c");
 #else
       return false;
 #endif
@@ -322,30 +158,6 @@ Tier set_active_tier(Tier t) {
   return t;
 }
 
-void fmadd_f32(float* acc, float a, const float* x_, std::size_t n) {
-  FTM_EXPECTS(n == 0 || (acc != nullptr && x_ != nullptr));
-  switch (active_tier()) {
-#if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: fmadd_f32_avx2(acc, a, x_, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: fmadd_f32_neon(acc, a, x_, n); return;
-#endif
-    default: fmadd_f32_scalar(acc, a, x_, n); return;
-  }
-}
-
-void fmadd_f64(double* acc, double a, const double* x_, std::size_t n) {
-  FTM_EXPECTS(n == 0 || (acc != nullptr && x_ != nullptr));
-  switch (active_tier()) {
-#if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: fmadd_f64_avx2(acc, a, x_, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: fmadd_f64_neon(acc, a, x_, n); return;
-#endif
-    default: fmadd_f64_scalar(acc, a, x_, n); return;
-  }
-}
-
 void add_f32(float* acc, const float* x_, std::size_t n) {
   FTM_EXPECTS(n == 0 || (acc != nullptr && x_ != nullptr));
   switch (active_tier()) {
@@ -380,39 +192,6 @@ void relu_f32(float* x_, std::size_t n) {
 #endif
     default: relu_f32_scalar(x_, n); return;
   }
-}
-
-void dot2_f16(float* acc, std::uint16_t a0, std::uint16_t a1,
-              const std::uint32_t* b, std::size_t n) {
-  FTM_EXPECTS(n == 0 || (acc != nullptr && b != nullptr));
-  switch (active_tier()) {
-#if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2:
-      if (f16c_supported()) {
-        dot2_f16_avx2(acc, a0, a1, b, n);
-        return;
-      }
-      break;  // AVX2 without F16C: the scalar body is the f16 reference
-#elif defined(FTM_HOSTSIMD_NEON) && defined(__ARM_FP16_FORMAT_IEEE)
-    case Tier::Neon: dot2_f16_neon(acc, a0, a1, b, n); return;
-#endif
-    default: break;
-  }
-  dot2_f16_scalar(acc, a0, a1, b, n);
-}
-
-void dot2_bf16(float* acc, std::uint16_t a0, std::uint16_t a1,
-               const std::uint32_t* b, std::size_t n) {
-  FTM_EXPECTS(n == 0 || (acc != nullptr && b != nullptr));
-  switch (active_tier()) {
-#if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: dot2_bf16_avx2(acc, a0, a1, b, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: dot2_bf16_neon(acc, a0, a1, b, n); return;
-#endif
-    default: break;
-  }
-  dot2_bf16_scalar(acc, a0, a1, b, n);
 }
 
 }  // namespace ftm::kernelgen::hostsimd

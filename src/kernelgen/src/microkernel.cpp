@@ -1,32 +1,58 @@
 #include "ftm/kernelgen/microkernel.hpp"
 
-#include <cmath>
-#include <cstring>
-#include <vector>
-
 #include "ftm/kernelgen/hostsimd.hpp"
+#include "tile.hpp"
+
+#if defined(__aarch64__)
+#include <arm_neon.h>
+#endif
 
 namespace ftm::kernelgen {
 
+#if defined(__aarch64__)
 namespace {
 
-// Reusable accumulator-bank scratch: run_fast is the hottest function of
-// functional simulation and used to pay a heap allocation per call. One
-// buffer per host thread also keeps the parallel execution engine
-// (core::HostExecEngine) allocation-free and race-free.
-float* scratch_f32(std::size_t n) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
+// The NEON tier of tile.hpp (baseline on AArch64, no dispatch needed).
+template <class T>
+struct NeonVec;
 
-double* scratch_f64(std::size_t n) {
-  thread_local std::vector<double> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
+template <>
+struct NeonVec<float> {
+  using reg = float32x4_t;
+  static constexpr int lanes = 4;
+  static reg zero() { return vdupq_n_f32(0.0f); }
+  static reg bcast(float x) { return vdupq_n_f32(x); }
+  static reg load(const float* p) { return vld1q_f32(p); }
+  static void store(float* p, reg r) { vst1q_f32(p, r); }
+  static reg fma(reg a, reg b, reg acc) { return vfmaq_f32(acc, a, b); }
+  static reg add(reg x, reg y) { return vaddq_f32(x, y); }
+  static float widen_f16(std::uint16_t h) { return util::f16_to_f32(h); }
+  static void load_f16x2(const std::uint32_t* p, reg& lo, reg& hi) {
+    const uint32x4_t v = vld1q_u32(p);
+    lo = vcvt_f32_f16(vreinterpret_f16_u16(vmovn_u32(v)));
+    hi = vcvt_f32_f16(vreinterpret_f16_u16(vshrn_n_u32(v, 16)));
+  }
+  static void load_bf16x2(const std::uint32_t* p, reg& lo, reg& hi) {
+    const uint32x4_t v = vld1q_u32(p);
+    lo = vreinterpretq_f32_u32(vshlq_n_u32(v, 16));
+    hi = vreinterpretq_f32_u32(vandq_u32(v, vdupq_n_u32(0xFFFF0000u)));
+  }
+};
+
+template <>
+struct NeonVec<double> {
+  using reg = float64x2_t;
+  static constexpr int lanes = 2;
+  static reg zero() { return vdupq_n_f64(0.0); }
+  static reg bcast(double x) { return vdupq_n_f64(x); }
+  static reg load(const double* p) { return vld1q_f64(p); }
+  static void store(double* p, reg r) { vst1q_f64(p, r); }
+  static reg fma(reg a, reg b, reg acc) { return vfmaq_f64(acc, a, b); }
+  static reg add(reg x, reg y) { return vaddq_f64(x, y); }
+};
 
 }  // namespace
+#endif
 
 MicroKernel::MicroKernel(const KernelSpec& spec, const isa::MachineConfig& mc)
     : spec_(spec),
@@ -63,180 +89,28 @@ sim::ExecResult MicroKernel::run_detailed(sim::DspCore& core,
   return core.run(prog_);
 }
 
-std::uint64_t MicroKernel::run_fast(const float* a, const float* b,
-                                    float* c) const {
-  FTM_EXPECTS(spec_.dtype == DType::F32);
-  const int ms = spec_.ms;
-  const int ka = spec_.ka;
-  const int vn = spec_.vn();
-  const int ld = spec_.am_row_elems();
-  const int ku = tiling_.ku;
-  const int mu = tiling_.mu;
-  const int nk = ka / ku;
-  const int krem = ka - nk * ku;
-
-  // Accumulator banks mirror the generated code: bank `kui` accumulates
-  // k = i*ku + kui, remainder step j lands in bank j % ku, and banks are
-  // reduced into bank 0 in ascending order — making this path bit-identical
-  // to the detailed simulation. The inner loops are elementwise over x, so
-  // the hostsimd primitives (AVX2/NEON fused ops, same IEEE rounding as
-  // std::fmaf) change nothing but speed.
-  float* banks = scratch_f32(static_cast<std::size_t>(ku) * ld);
-  for (int mm = 0; mm < ms; mm += mu) {
-    const int mu_t = std::min(mu, ms - mm);
-    for (int r = 0; r < mu_t; ++r) {
-      const int row = mm + r;
-      float* bank0 = banks;
-      if (spec_.load_c) {
-        std::memcpy(bank0, c + static_cast<std::size_t>(row) * ld,
-                    static_cast<std::size_t>(ld) * sizeof(float));
-      } else {
-        std::memset(bank0, 0, static_cast<std::size_t>(ld) * sizeof(float));
-      }
-      if (ku > 1) {
-        std::memset(banks + ld, 0,
-                    static_cast<std::size_t>(ku - 1) * ld * sizeof(float));
-      }
-      const float* arow = a + static_cast<std::size_t>(row) * ka;
-      for (int i = 0; i < nk; ++i) {
-        for (int kui = 0; kui < ku; ++kui) {
-          const int k = i * ku + kui;
-          const float* brow = b + static_cast<std::size_t>(k) * ld;
-          hostsimd::fmadd_f32(banks + static_cast<std::size_t>(kui) * ld,
-                              arow[k], brow,
-                              static_cast<std::size_t>(vn) * 32);
-        }
-      }
-      for (int j = 0; j < krem; ++j) {
-        const int k = nk * ku + j;
-        const float* brow = b + static_cast<std::size_t>(k) * ld;
-        hostsimd::fmadd_f32(banks + static_cast<std::size_t>(j % ku) * ld,
-                            arow[k], brow,
-                            static_cast<std::size_t>(vn) * 32);
-      }
-      for (int kui = 1; kui < ku; ++kui) {
-        hostsimd::add_f32(bank0, banks + static_cast<std::size_t>(kui) * ld,
-                          static_cast<std::size_t>(ld));
-      }
-      std::memcpy(c + static_cast<std::size_t>(row) * ld, bank0,
-                  static_cast<std::size_t>(ld) * sizeof(float));
-    }
+std::uint64_t MicroKernel::run_fast(const void* a, const void* b,
+                                    void* c) const {
+  FTM_EXPECTS(a != nullptr && b != nullptr && c != nullptr);
+  const TileArgs g{a, b, c, spec_, tiling_.ku};
+  switch (hostsimd::active_tier()) {
+#if defined(__x86_64__)
+    case hostsimd::Tier::Avx2:
+      run_tiles_avx2(g);
+      break;
+#elif defined(__aarch64__)
+    case hostsimd::Tier::Neon:
+      run_tiles<NeonVec>(g);
+      break;
+#endif
+    default:
+      run_tiles<ScalarVec>(g);
+      break;
   }
   return calib_.cycles;
 }
 
-std::uint64_t MicroKernel::run_fast_f64(const double* a, const double* b,
-                                        double* c) const {
-  FTM_EXPECTS(spec_.dtype == DType::F64);
-  const int ms = spec_.ms;
-  const int ka = spec_.ka;
-  const int ld = spec_.am_row_elems();  // vn * 16 doubles
-  const int ku = tiling_.ku;
-  const int mu = tiling_.mu;
-  const int nk = ka / ku;
-  const int krem = ka - nk * ku;
-
-  double* banks = scratch_f64(static_cast<std::size_t>(ku) * ld);
-  for (int mm = 0; mm < ms; mm += mu) {
-    const int mu_t = std::min(mu, ms - mm);
-    for (int r = 0; r < mu_t; ++r) {
-      const int row = mm + r;
-      double* bank0 = banks;
-      if (spec_.load_c) {
-        std::memcpy(bank0, c + static_cast<std::size_t>(row) * ld,
-                    static_cast<std::size_t>(ld) * sizeof(double));
-      } else {
-        std::memset(bank0, 0, static_cast<std::size_t>(ld) * sizeof(double));
-      }
-      if (ku > 1) {
-        std::memset(banks + ld, 0,
-                    static_cast<std::size_t>(ku - 1) * ld * sizeof(double));
-      }
-      const double* arow = a + static_cast<std::size_t>(row) * ka;
-      for (int i = 0; i < nk; ++i) {
-        for (int kui = 0; kui < ku; ++kui) {
-          const int k = i * ku + kui;
-          const double* brow = b + static_cast<std::size_t>(k) * ld;
-          hostsimd::fmadd_f64(banks + static_cast<std::size_t>(kui) * ld,
-                              arow[k], brow, static_cast<std::size_t>(ld));
-        }
-      }
-      for (int j = 0; j < krem; ++j) {
-        const int k = nk * ku + j;
-        const double* brow = b + static_cast<std::size_t>(k) * ld;
-        hostsimd::fmadd_f64(banks + static_cast<std::size_t>(j % ku) * ld,
-                            arow[k], brow, static_cast<std::size_t>(ld));
-      }
-      for (int kui = 1; kui < ku; ++kui) {
-        hostsimd::add_f64(bank0, banks + static_cast<std::size_t>(kui) * ld,
-                          static_cast<std::size_t>(ld));
-      }
-      std::memcpy(c + static_cast<std::size_t>(row) * ld, bank0,
-                  static_cast<std::size_t>(ld) * sizeof(double));
-    }
-  }
-  return calib_.cycles;
-}
-
-std::uint64_t MicroKernel::run_fast_half(const std::uint16_t* a,
-                                         const std::uint32_t* b,
-                                         float* c) const {
-  FTM_EXPECTS(is_half(spec_.dtype));
-  const bool bf16 = spec_.dtype == DType::BF16;
-  const int ms = spec_.ms;
-  const int ka = spec_.ka;  // even-padded upstream (choose_tiling enforces)
-  const int ld = spec_.am_row_elems();  // vn * 32 words / floats
-  const int ku = tiling_.ku;            // counts k-pairs
-  const int mu = tiling_.mu;
-  const int kp = spec_.kpairs();
-  const int nk = kp / ku;
-  const int krem = kp - nk * ku;
-  const auto dot2 = bf16 ? hostsimd::dot2_bf16 : hostsimd::dot2_f16;
-
-  // Banks mirror the generated half code: bank `kui` accumulates the k-pair
-  // p = i*ku + kui, the remainder pair j lands in bank j % ku, and banks
-  // reduce into bank 0 ascending — bit-identical to the detailed core.
-  float* banks = scratch_f32(static_cast<std::size_t>(ku) * ld);
-  for (int mm = 0; mm < ms; mm += mu) {
-    const int mu_t = std::min(mu, ms - mm);
-    for (int r = 0; r < mu_t; ++r) {
-      const int row = mm + r;
-      float* bank0 = banks;
-      if (spec_.load_c) {
-        std::memcpy(bank0, c + static_cast<std::size_t>(row) * ld,
-                    static_cast<std::size_t>(ld) * sizeof(float));
-      } else {
-        std::memset(bank0, 0, static_cast<std::size_t>(ld) * sizeof(float));
-      }
-      if (ku > 1) {
-        std::memset(banks + ld, 0,
-                    static_cast<std::size_t>(ku - 1) * ld * sizeof(float));
-      }
-      const std::uint16_t* arow = a + static_cast<std::size_t>(row) * ka;
-      for (int i = 0; i < nk; ++i) {
-        for (int kui = 0; kui < ku; ++kui) {
-          const int p = i * ku + kui;
-          const std::uint32_t* brow = b + static_cast<std::size_t>(p) * ld;
-          dot2(banks + static_cast<std::size_t>(kui) * ld, arow[2 * p],
-               arow[2 * p + 1], brow, static_cast<std::size_t>(ld));
-        }
-      }
-      for (int j = 0; j < krem; ++j) {
-        const int p = nk * ku + j;
-        const std::uint32_t* brow = b + static_cast<std::size_t>(p) * ld;
-        dot2(banks + static_cast<std::size_t>(j % ku) * ld, arow[2 * p],
-             arow[2 * p + 1], brow, static_cast<std::size_t>(ld));
-      }
-      for (int kui = 1; kui < ku; ++kui) {
-        hostsimd::add_f32(bank0, banks + static_cast<std::size_t>(kui) * ld,
-                          static_cast<std::size_t>(ld));
-      }
-      std::memcpy(c + static_cast<std::size_t>(row) * ld, bank0,
-                  static_cast<std::size_t>(ld) * sizeof(float));
-    }
-  }
-  return calib_.cycles;
-}
+int MicroKernel::host_tile_rows() const { return tile_rows(tiling_.ku); }
 
 KernelCache::KernelCache(const isa::MachineConfig& mc) : mc_(mc) {}
 

@@ -9,6 +9,7 @@
 #include "ftm/kernelgen/microkernel.hpp"
 #include "ftm/sim/core.hpp"
 #include "ftm/util/prng.hpp"
+#include "kernel_tester.hpp"
 
 namespace ftm::kernelgen {
 namespace {
@@ -125,36 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                       F64Case{6, 7, 41}));
 
 TEST(Fp64FastPath, BitIdenticalToDetailed) {
-  const KernelSpec spec = f64_spec(6, 257, 48);
-  MicroKernel uk(spec, mc());
-  sim::DspCore core(mc());
-  const auto a = core.sm().alloc(spec.a_bytes());
-  const auto b = core.am().alloc(spec.b_bytes());
-  const auto c = core.am().alloc(spec.c_bytes());
-  const int ld = spec.am_row_elems();
-
-  Prng rng(123);
-  std::vector<double> fa(spec.ms * spec.ka), fb(spec.ka * ld),
-      fc(spec.ms * ld);
-  for (auto& v : fa) v = rng.next_float(-1, 1);
-  for (auto& v : fb) v = rng.next_float(-1, 1);
-  for (auto& v : fc) v = rng.next_float(-1, 1);
-
-  std::memcpy(core.sm().raw(a.offset, fa.size() * 8), fa.data(),
-              fa.size() * 8);
-  std::memcpy(core.am().raw(b.offset, fb.size() * 8), fb.data(),
-              fb.size() * 8);
-  std::memcpy(core.am().raw(c.offset, fc.size() * 8), fc.data(),
-              fc.size() * 8);
-
-  uk.run_detailed(core, a.offset, b.offset, c.offset);
-  uk.run_fast_f64(fa.data(), fb.data(), fc.data());
-
-  const double* detailed = reinterpret_cast<const double*>(
-      core.am().raw(c.offset, fc.size() * 8));
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    ASSERT_EQ(fc[i], detailed[i]) << "element " << i;
-  }
+  KernelTester().dtype(DType::F64).ms(6).ka(257).na(48).test();
 }
 
 TEST(Fp64Efficiency, TracksTheTightenedBounds) {
@@ -176,17 +148,6 @@ TEST(Fp64Cache, DistinctFromF32) {
   cache.get(KernelSpec{6, 128, 32});
   cache.get(f64_spec(6, 128, 32));
   EXPECT_EQ(cache.generated(), 2u);
-}
-
-TEST(Fp64FastPath, RejectsWrongDtype) {
-  MicroKernel f32({6, 64, 32}, mc());
-  std::vector<double> d(1024, 0.0);
-  EXPECT_THROW(f32.run_fast_f64(d.data(), d.data(), d.data()),
-               ContractViolation);
-  MicroKernel f64(f64_spec(6, 64, 32), mc());
-  std::vector<float> f(2048, 0.0f);
-  EXPECT_THROW(f64.run_fast(f.data(), f.data(), f.data()),
-               ContractViolation);
 }
 
 }  // namespace

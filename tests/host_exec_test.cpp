@@ -17,6 +17,7 @@
 #include "ftm/util/prng.hpp"
 #include "ftm/util/task_pool.hpp"
 #include "ftm/workload/generators.hpp"
+#include "kernel_tester.hpp"
 
 namespace ftm::core {
 namespace {
@@ -115,19 +116,6 @@ TEST(HostSimd, PrimitivesBitIdenticalToScalar) {
       dx[i] = rng.next_float(-2, 2);
       dacc0[i] = dacc1[i] = rng.next_float(-2, 2);
     }
-    const float fa = rng.next_float(-2, 2);
-    const double da = rng.next_float(-2, 2);
-
-    hostsimd::set_active_tier(Tier::Scalar);
-    hostsimd::fmadd_f32(facc0.data(), fa, fx.data(), n);
-    hostsimd::fmadd_f64(dacc0.data(), da, dx.data(), n);
-    hostsimd::set_active_tier(hostsimd::best_tier());
-    hostsimd::fmadd_f32(facc1.data(), fa, fx.data(), n);
-    hostsimd::fmadd_f64(dacc1.data(), da, dx.data(), n);
-    ASSERT_EQ(std::memcmp(facc0.data(), facc1.data(), n * sizeof(float)), 0)
-        << "fmadd_f32 n=" << n;
-    ASSERT_EQ(std::memcmp(dacc0.data(), dacc1.data(), n * sizeof(double)), 0)
-        << "fmadd_f64 n=" << n;
 
     hostsimd::set_active_tier(Tier::Scalar);
     hostsimd::add_f32(facc0.data(), fx.data(), n);
@@ -142,7 +130,7 @@ TEST(HostSimd, PrimitivesBitIdenticalToScalar) {
   }
 }
 
-// ---- run_fast: SIMD tier vs scalar tier, bit for bit ---------------------
+// ---- run_fast: every tier equals the detailed core, bit for bit ----------
 
 struct SpecCase {
   int ms, ka, na;
@@ -151,43 +139,13 @@ struct SpecCase {
 
 class FastPathTiers : public ::testing::TestWithParam<SpecCase> {};
 
-/// Runs run_fast twice on identical inputs — scalar tier, then the best
-/// tier — and demands bit-identical C. The cases cover every unroll
-/// regime (wide/medium/narrow na), ku/mu edge shapes, K remainders
+/// Edge shapes on every tier (KernelTester): every unroll regime
+/// (wide/medium/narrow na), ku/mu edge shapes, K remainders
 /// (ka % ku != 0), and both load_c modes.
 TEST_P(FastPathTiers, F32BitIdenticalAcrossTiers) {
   const SpecCase sc = GetParam();
-  kernelgen::KernelSpec spec;
-  spec.ms = sc.ms;
-  spec.ka = sc.ka;
-  spec.na = sc.na;
-  spec.load_c = sc.load_c;
-  const kernelgen::MicroKernel uk(spec, isa::default_machine());
-  const std::size_t ld = static_cast<std::size_t>(spec.am_row_floats());
-
-  Prng rng(static_cast<std::uint64_t>(sc.ms * 131 + sc.ka * 17 + sc.na));
-  std::vector<float> a(static_cast<std::size_t>(sc.ms) * sc.ka);
-  std::vector<float> b(static_cast<std::size_t>(sc.ka) * ld);
-  std::vector<float> c0(static_cast<std::size_t>(sc.ms) * ld);
-  for (auto& v : a) v = rng.next_float(-1, 1);
-  for (auto& v : b) v = rng.next_float(-1, 1);
-  for (auto& v : c0) v = rng.next_float(-1, 1);
-
-  TierGuard guard;
-  std::vector<float> c_scalar = c0, c_simd = c0;
-  hostsimd::set_active_tier(Tier::Scalar);
-  const std::uint64_t cyc0 = uk.run_fast(a.data(), b.data(), c_scalar.data());
-  hostsimd::set_active_tier(hostsimd::best_tier());
-  const std::uint64_t cyc1 = uk.run_fast(a.data(), b.data(), c_simd.data());
-
-  EXPECT_EQ(cyc0, cyc1);
-  EXPECT_EQ(cyc0, uk.cycles());
-  ASSERT_EQ(
-      std::memcmp(c_scalar.data(), c_simd.data(), c0.size() * sizeof(float)),
-      0)
-      << "ms=" << sc.ms << " ka=" << sc.ka << " na=" << sc.na
-      << " load_c=" << sc.load_c << " tier "
-      << hostsimd::to_string(hostsimd::best_tier());
+  kernelgen::KernelTester t;
+  t.ms(sc.ms).ka(sc.ka).na(sc.na).load_c(sc.load_c).test();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -213,32 +171,8 @@ class FastPathTiersF64 : public ::testing::TestWithParam<SpecCase64> {};
 
 TEST_P(FastPathTiersF64, F64BitIdenticalAcrossTiers) {
   const SpecCase64 sc = GetParam();
-  kernelgen::KernelSpec spec;
-  spec.ms = sc.ms;
-  spec.ka = sc.ka;
-  spec.na = sc.na;
-  spec.dtype = kernelgen::DType::F64;
-  const kernelgen::MicroKernel uk(spec, isa::default_machine());
-  const std::size_t ld = static_cast<std::size_t>(spec.am_row_elems());
-
-  Prng rng(static_cast<std::uint64_t>(sc.ms * 7 + sc.ka * 3 + sc.na * 11));
-  std::vector<double> a(static_cast<std::size_t>(sc.ms) * sc.ka);
-  std::vector<double> b(static_cast<std::size_t>(sc.ka) * ld);
-  std::vector<double> c0(static_cast<std::size_t>(sc.ms) * ld);
-  for (auto& v : a) v = rng.next_float(-1, 1);
-  for (auto& v : b) v = rng.next_float(-1, 1);
-  for (auto& v : c0) v = rng.next_float(-1, 1);
-
-  TierGuard guard;
-  std::vector<double> c_scalar = c0, c_simd = c0;
-  hostsimd::set_active_tier(Tier::Scalar);
-  uk.run_fast_f64(a.data(), b.data(), c_scalar.data());
-  hostsimd::set_active_tier(hostsimd::best_tier());
-  uk.run_fast_f64(a.data(), b.data(), c_simd.data());
-  ASSERT_EQ(
-      std::memcmp(c_scalar.data(), c_simd.data(), c0.size() * sizeof(double)),
-      0)
-      << "ms=" << sc.ms << " ka=" << sc.ka << " na=" << sc.na;
+  kernelgen::KernelTester t;
+  t.dtype(kernelgen::DType::F64).ms(sc.ms).ka(sc.ka).na(sc.na).test();
 }
 
 INSTANTIATE_TEST_SUITE_P(EdgeShapes, FastPathTiersF64,
@@ -248,45 +182,11 @@ INSTANTIATE_TEST_SUITE_P(EdgeShapes, FastPathTiersF64,
                                            SpecCase64{1, 1, 1},
                                            SpecCase64{5, 93, 7}));
 
-/// run_fast (on the native tier) must still agree with the detailed VLIW
-/// simulation bit-for-bit — kernelgen_test pins the scalar equivalence,
-/// this pins the SIMD one.
+/// The native tier alone against the detailed core (K remainder in the
+/// narrow regime).
 TEST(FastPathTiers, NativeTierBitIdenticalToDetailed) {
-  kernelgen::KernelSpec spec;
-  spec.ms = 8;
-  spec.ka = 129;  // K remainder in the narrow regime
-  spec.na = 32;
-  const isa::MachineConfig mc = isa::default_machine();
-  const kernelgen::MicroKernel uk(spec, mc);
-  sim::DspCore core(mc);
-  const auto sa = core.sm().alloc(spec.a_bytes());
-  const auto sb = core.am().alloc(spec.b_bytes());
-  const auto scr = core.am().alloc(spec.c_bytes());
-  const std::size_t ld = static_cast<std::size_t>(spec.am_row_floats());
-
-  Prng rng(7);
-  std::vector<float> fa(static_cast<std::size_t>(spec.ms) * spec.ka);
-  std::vector<float> fb(static_cast<std::size_t>(spec.ka) * ld);
-  std::vector<float> fc(static_cast<std::size_t>(spec.ms) * ld);
-  for (auto& v : fa) v = rng.next_float(-1, 1);
-  for (auto& v : fb) v = rng.next_float(-1, 1);
-  for (auto& v : fc) v = rng.next_float(-1, 1);
-  std::memcpy(core.sm().f32(sa.offset, fa.size()), fa.data(),
-              fa.size() * sizeof(float));
-  std::memcpy(core.am().f32(sb.offset, fb.size()), fb.data(),
-              fb.size() * sizeof(float));
-  std::memcpy(core.am().f32(scr.offset, fc.size()), fc.data(),
-              fc.size() * sizeof(float));
-
-  uk.run_detailed(core, sa.offset, sb.offset, scr.offset);
-  const float* detailed = core.am().f32(scr.offset, fc.size());
-
-  TierGuard guard;
-  hostsimd::set_active_tier(hostsimd::best_tier());
-  uk.run_fast(fa.data(), fb.data(), fc.data());
-  for (std::size_t i = 0; i < fc.size(); ++i) {
-    ASSERT_EQ(fc[i], detailed[i]) << "element " << i;
-  }
+  kernelgen::KernelTester t;
+  t.ms(8).ka(129).na(32).tier(hostsimd::best_tier()).test();
 }
 
 // ---- Determinism gate: cycles and C independent of the pool size ---------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "ftm/cpu/cpu_gemm.hpp"
@@ -9,6 +12,7 @@
 #include "ftm/kernelgen/spec.hpp"
 #include "ftm/sim/core.hpp"
 #include "ftm/util/prng.hpp"
+#include "kernel_tester.hpp"
 
 namespace ftm::kernelgen {
 namespace {
@@ -189,39 +193,76 @@ TEST(FastPath, BitIdenticalToDetailed) {
   for (const ShapeCase s : {ShapeCase{6, 512, 96}, ShapeCase{8, 257, 64},
                             ShapeCase{6, 96, 32}, ShapeCase{11, 33, 96},
                             ShapeCase{9, 128, 17}}) {
-    SCOPED_TRACE("ms=" + std::to_string(s.ms) + " ka=" + std::to_string(s.ka) +
-                 " na=" + std::to_string(s.na));
-    const KernelSpec spec{s.ms, s.ka, s.na};
-    MicroKernel uk(spec, mc());
-    sim::DspCore core(mc());
-    const auto a = core.sm().alloc(spec.a_bytes());
-    const auto b = core.am().alloc(spec.b_bytes());
-    const auto c = core.am().alloc(spec.c_bytes());
-    const int ld = spec.am_row_floats();
+    KernelTester().ms(s.ms).ka(s.ka).na(s.na).test();
+  }
+}
 
-    Prng rng(999 + s.ms);
-    std::vector<float> fa(spec.ms * spec.ka), fb(spec.ka * ld),
-        fc(spec.ms * ld);
-    for (auto& v : fa) v = rng.next_float(-1, 1);
-    for (auto& v : fb) v = rng.next_float(-1, 1);
-    for (auto& v : fc) v = rng.next_float(-1, 1);
+/// The KernelTester sweep: every dtype on every tier this host supports.
+/// ms runs from 1 to one past the tallest host tile, plus 64; na hits
+/// every regime boundary; ka leaves a k remainder for every ku (and one
+/// value leaves none); load_c is on and off. The (ms, na) grid drives
+/// choose_tiling through each ku of the dtype, and the test asserts it
+/// reached each ku with every ms up to that tile's rows + 1.
+class FastPathSweep : public ::testing::TestWithParam<DType> {};
 
-    std::memcpy(core.sm().f32(a.offset, fa.size()), fa.data(),
-                fa.size() * 4);
-    std::memcpy(core.am().f32(b.offset, fb.size()), fb.data(),
-                fb.size() * 4);
-    std::memcpy(core.am().f32(c.offset, fc.size()), fc.data(),
-                fc.size() * 4);
-
-    uk.run_detailed(core, a.offset, b.offset, c.offset);
-    const std::uint64_t fast_cycles =
-        uk.run_fast(fa.data(), fb.data(), fc.data());
-
-    EXPECT_EQ(fast_cycles, uk.cycles());
-    const float* detailed = core.am().f32(c.offset, fc.size());
-    for (std::size_t i = 0; i < fc.size(); ++i) {
-      ASSERT_EQ(fc[i], detailed[i]) << "element " << i;
+TEST_P(FastPathSweep, BitIdenticalToDetailedOnEveryTier) {
+  const DType dt = GetParam();
+  KernelSpec probe;
+  probe.dtype = dt;
+  const std::vector<int> kas =
+      is_half(dt) ? std::vector<int>{6, 10, 14, 24}  // k pairs 3, 5, 7, 12
+                  : std::vector<int>{1, 2, 3, 5, 7, 12, 35};
+  std::map<int, std::set<int>> ms_at_ku;
+  std::map<int, int> rows_at_ku;
+  for (const int ms : {1, 2, 3, 4, 5, 6, 7, 64}) {
+    for (const int na : {1, 16, 17, 32, 33, 64, 96}) {
+      if (na > 3 * probe.lanes()) continue;
+      for (const int ka : kas) {
+        for (const bool load_c : {true, false}) {
+          KernelTester t;
+          t.dtype(dt).ms(ms).ka(ka).na(na).load_c(load_c);
+          const KernelTester::Reached r = t.test();
+          if (HasFailure()) return;  // the first mismatch says enough
+          ms_at_ku[r.ku].insert(ms);
+          rows_at_ku[r.ku] = r.tile_rows;
+        }
+      }
     }
+  }
+  // choose_tiling picks ku = 3 only for ms <= 2 and F64 ku = 4 only for
+  // ms = 1, so those two stop short of rows + 1.
+  const auto reachable = [dt](int ku, int ms) {
+    return (ku != 3 || ms <= 2) && (dt != DType::F64 || ku != 4 || ms <= 1);
+  };
+  for (const int ku : is_half(dt) ? std::vector<int>{2, 4}
+                                  : std::vector<int>{1, 2, 3, 4}) {
+    ASSERT_EQ(rows_at_ku.count(ku), 1u) << "ku=" << ku << " never chosen";
+    for (int ms = 1; ms <= rows_at_ku[ku] + 1; ++ms) {
+      EXPECT_TRUE(ms_at_ku[ku].count(ms) == 1 || !reachable(ku, ms))
+          << "ku=" << ku << " ms=" << ms;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dtypes, FastPathSweep,
+                         ::testing::Values(DType::F32, DType::F64, DType::F16,
+                                           DType::BF16),
+                         [](const ::testing::TestParamInfo<DType>& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(FastPath, RejectsNullOperands) {
+  for (const DType dt : {DType::F32, DType::F64, DType::F16, DType::BF16}) {
+    KernelSpec spec{6, 64, 32};
+    spec.dtype = dt;
+    const MicroKernel uk(spec, mc());
+    std::vector<double> buf(spec.b_bytes() / 8);
+    EXPECT_THROW(uk.run_fast(nullptr, buf.data(), buf.data()),
+                 ContractViolation);
+    EXPECT_THROW(uk.run_fast(buf.data(), nullptr, buf.data()),
+                 ContractViolation);
+    EXPECT_THROW(uk.run_fast(buf.data(), buf.data(), nullptr),
+                 ContractViolation);
   }
 }
 

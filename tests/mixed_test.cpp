@@ -12,11 +12,11 @@
 
 #include "ftm/core/hgemm.hpp"
 #include "ftm/core/strassen.hpp"
-#include "ftm/kernelgen/hostsimd.hpp"
 #include "ftm/kernelgen/microkernel.hpp"
 #include "ftm/util/half.hpp"
 #include "ftm/util/matrix.hpp"
 #include "ftm/util/prng.hpp"
+#include "kernel_tester.hpp"
 
 namespace ftm::core {
 namespace {
@@ -140,91 +140,11 @@ TEST(HalfPacking, Bf16TruncationDiffersFromRne) {
   EXPECT_EQ(util::f32_to_bf16_trunc(tie_odd), 0x3F81u);
 }
 
-// ---- hostsimd dot2 tiers vs the scalar contract -------------------------
-
-void check_dot2_tier(bool bf) {
-  // The dispatched tier (AVX2/F16C, NEON, or scalar) must match the
-  // documented scalar semantics bit-for-bit: low-pair FMA strictly first.
-  Prng rng(bf ? 77 : 42);
-  const std::size_t n = 97;  // odd length exercises the SIMD tail
-  std::vector<float> acc(n), ref(n);
-  std::vector<std::uint32_t> b(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i] = rng.next_float(-2, 2);
-    ref[i] = acc[i];
-    // Mix magnitudes so some halves land subnormal after rounding.
-    const float lo = rng.next_float(-1, 1) * (i % 7 == 0 ? 1e-6f : 1.0f);
-    const float hi = rng.next_float(-1, 1);
-    b[i] = util::f32_to_half(lo, bf) |
-           (static_cast<std::uint32_t>(util::f32_to_half(hi, bf)) << 16);
-  }
-  const std::uint16_t a0 = util::f32_to_half(0.3125f, bf);
-  const std::uint16_t a1 = util::f32_to_half(-1.75f, bf);
-  if (bf) {
-    kernelgen::hostsimd::dot2_bf16(acc.data(), a0, a1, b.data(), n);
-  } else {
-    kernelgen::hostsimd::dot2_f16(acc.data(), a0, a1, b.data(), n);
-  }
-  const float wa0 = util::half_to_f32(a0, bf);
-  const float wa1 = util::half_to_f32(a1, bf);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float blo = util::half_to_f32(
-        static_cast<std::uint16_t>(b[i] & 0xFFFFu), bf);
-    const float bhi = util::half_to_f32(
-        static_cast<std::uint16_t>(b[i] >> 16), bf);
-    ref[i] = std::fmaf(wa1, bhi, std::fmaf(wa0, blo, ref[i]));
-    ASSERT_EQ(acc[i], ref[i]) << "lane " << i << (bf ? " bf16" : " f16");
-  }
-}
-
-TEST(HostSimd, Dot2F16TierMatchesScalarContract) { check_dot2_tier(false); }
-TEST(HostSimd, Dot2Bf16TierMatchesScalarContract) { check_dot2_tier(true); }
-
 // ---- detailed simulator vs fast path ------------------------------------
 
 TEST(HalfFastPath, BitIdenticalToDetailed) {
-  const auto& mc = isa::default_machine();
   for (const DType dt : {DType::F16, DType::BF16}) {
-    const bool bf = dt == DType::BF16;
-    SCOPED_TRACE(bf ? "bf16" : "f16");
-    kernelgen::KernelSpec spec{6, 64, 96};
-    spec.dtype = dt;
-    kernelgen::MicroKernel uk(spec, mc);
-    sim::DspCore core(mc);
-    const auto a = core.sm().alloc(spec.a_bytes());
-    const auto b = core.am().alloc(spec.b_bytes());
-    const auto c = core.am().alloc(spec.c_bytes());
-    const int ld = spec.am_row_elems();
-
-    Prng rng(1234 + (bf ? 1 : 0));
-    std::vector<std::uint16_t> ha(spec.ms * spec.ka);
-    std::vector<std::uint32_t> hb(spec.kpairs() * ld);
-    std::vector<float> hc(spec.ms * ld);
-    for (auto& v : ha) v = util::f32_to_half(rng.next_float(-1, 1), bf);
-    for (auto& v : hb) {
-      v = util::f32_to_half(rng.next_float(-1, 1), bf) |
-          (static_cast<std::uint32_t>(
-               util::f32_to_half(rng.next_float(-1, 1), bf))
-           << 16);
-    }
-    for (auto& v : hc) v = rng.next_float(-1, 1);
-
-    std::memcpy(core.sm().raw(a.offset, ha.size() * 2), ha.data(),
-                ha.size() * 2);
-    std::memcpy(core.am().raw(b.offset, hb.size() * 4), hb.data(),
-                hb.size() * 4);
-    std::memcpy(core.am().raw(c.offset, hc.size() * 4), hc.data(),
-                hc.size() * 4);
-
-    uk.run_detailed(core, a.offset, b.offset, c.offset);
-    const std::uint64_t fast_cycles =
-        uk.run_fast_half(ha.data(), hb.data(), hc.data());
-
-    EXPECT_EQ(fast_cycles, uk.cycles());
-    const float* detailed = core.am().f32(c.offset, hc.size());
-    for (std::size_t i = 0; i < hc.size(); ++i) {
-      ASSERT_EQ(hc[i], detailed[i]) << "element " << i;
-    }
+    kernelgen::KernelTester().dtype(dt).ms(6).ka(64).na(96).test();
   }
 }
 
