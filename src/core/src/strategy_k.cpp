@@ -7,6 +7,10 @@
 
 namespace ftm::core {
 
+using detail::CoreBufs;
+using detail::Endpoint;
+using detail::host;
+using detail::pad;
 using detail::RunCtx;
 
 // Algorithm 5: K-dimension parallelization with GSM-based reduction.
@@ -26,39 +30,27 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
                           const FtimmOptions& opt) {
   check_k_blocks(kb, cl.machine());
   RunCtx ctx(cl, cache, opt);
-  const bool fn = ctx.fn;
-  const int P = opt.cores;
   const std::size_t M = in.m, N = in.n, K = in.k;
-  const std::size_t pitch_max = am_pitch_floats(kb.na);
+  const std::size_t f = sizeof(float);
+  const std::size_t pitch_max = am_pitch_floats(kb.na) * f;
 
   // --- Provisioning ---
-  sim::Region cg = cl.gsm().alloc(kb.mg * kb.ng * sizeof(float));
-  std::vector<sim::Region> stage(P);
-  for (int c = 0; c < P; ++c)
-    stage[c] = cl.gsm().alloc(kb.ma * pitch_max * sizeof(float));
-  struct PerCore {
-    sim::Region ca, ba[2], as[2];
-  };
-  std::vector<PerCore> pc(P);
-  for (int c = 0; c < P; ++c) {
-    pc[c].ca = cl.core(c).am().alloc(kb.ma * pitch_max * sizeof(float));
-    for (auto& r : pc[c].ba)
-      r = cl.core(c).am().alloc(kb.ka * pitch_max * sizeof(float));
-    for (auto& r : pc[c].as)
-      r = cl.core(c).sm().alloc(kb.ms * kb.ka * sizeof(float));
-  }
+  sim::Region cg = cl.gsm().alloc(kb.mg * kb.ng * f);
+  std::vector<sim::Region> stage(opt.cores);
+  for (auto& r : stage) r = cl.gsm().alloc(kb.ma * pitch_max);
+  const std::vector<CoreBufs> pc = ctx.provision(
+      kb.ma * pitch_max, kb.ka * pitch_max, kb.ms * kb.ka * f);
   // Core 0's reduction chunk buffers.
-  const sim::Region racc =
-      cl.core(0).am().alloc(kb.reduce_rows * pitch_max * sizeof(float));
-  const sim::Region rpart =
-      cl.core(0).am().alloc(kb.reduce_rows * pitch_max * sizeof(float));
+  sim::Scratchpad& am0 = cl.core(0).am();
+  const sim::Region racc = am0.alloc(kb.reduce_rows * pitch_max);
+  const sim::Region rpart = am0.alloc(kb.reduce_rows * pitch_max);
 
   const std::size_t nkb = (K + kb.ka - 1) / kb.ka;  // parallel k blocks
   ctx.set_workers(nkb);
   // Cores that actually receive k blocks (round-robin: a contiguous
   // prefix); only these stage partials, and only these are reduced.
   const int W = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(P), nkb));
+      std::min<std::size_t>(static_cast<std::size_t>(opt.cores), nkb));
 
   for (std::size_t i0 = 0; i0 < M; i0 += kb.mg) {
     const std::size_t mg_t = std::min(kb.mg, M - i0);
@@ -66,129 +58,56 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
       const std::size_t ng_t = std::min(kb.ng, N - j0);
 
       // Original C panel into GSM (core 0's engine; readers wait below).
-      sim::DmaRequest cgr;
-      cgr.route = sim::DmaRoute::DdrToSpm;
-      cgr.rows = mg_t;
-      cgr.row_bytes = ng_t * sizeof(float);
-      cgr.src_stride = in.c.ld() * sizeof(float);
-      cgr.dst_stride = ng_t * sizeof(float);
-      const auto cgh =
-          ctx.dma_shared(0, cgr, detail::host_src(in.c, i0, j0, fn),
-                         fn ? cl.gsm().raw(cg.offset,
-                                           mg_t * ng_t * sizeof(float))
-                            : nullptr);
+      const auto cgh = ctx.dma_shared(0, mg_t, ng_t * f, host(in.c, i0, j0),
+                                      pad(cl.gsm(), cg.offset, ng_t * f));
       const std::uint64_t cg_ready = cl.timeline(0).done_time(cgh);
 
       for (std::size_t ii = 0; ii < mg_t; ii += kb.ma) {
         const std::size_t ma_t = std::min(kb.ma, mg_t - ii);
         for (std::size_t jj = 0; jj < ng_t; jj += kb.na) {
           const std::size_t na_t = std::min(kb.na, ng_t - jj);
-          const std::size_t pitch = am_pitch_floats(na_t);
-          const std::size_t tile_vecs = ma_t * pitch / 32;
+          const std::size_t pitch = am_pitch_floats(na_t) * f;
+          const std::size_t tile_vecs = ma_t * pitch / f / 32;
 
           // --- Parallel K loop ---
           for (int core = 0; core < W; ++core) {
-            auto& tl = cl.timeline(core);
+            sim::Scratchpad& am = cl.core(core).am();
+            const CoreBufs& buf = pc[core];
             // Zero the AM partial (VMOVI throughput: 3 vectors/cycle).
-            if (fn) {
-              ctx.exec.zero(core,
-                            cl.core(core).am().raw(
-                                pc[core].ca.offset,
-                                ma_t * pitch * sizeof(float)),
-                            ma_t * pitch * sizeof(float));
+            if (ctx.fn) {
+              ctx.exec.zero(core, am.raw(buf.ca.offset, ma_t * pitch),
+                            ma_t * pitch);
             }
-            tl.compute(tile_vecs / 3 + 1);
+            cl.timeline(core).compute(tile_vecs / 3 + 1);
 
-            std::vector<std::size_t> mine;
-            for (std::size_t tb = 0; tb < nkb; ++tb) {
-              if (detail::owns(core, tb, P)) mine.push_back(tb);
-            }
-            if (mine.empty()) continue;
+            const std::size_t mine = ctx.share(core, nkb);
+            if (mine == 0) continue;
             const std::uint64_t kph0 = ctx.phase_begin(core);
 
+            auto k_block = [&](std::size_t w) {
+              return (core + w * opt.cores) * kb.ka;
+            };
             auto load_ba = [&](std::size_t w) -> sim::DmaHandle {
-              const std::size_t t0 = mine[w] * kb.ka;
-              const std::size_t ka_t = std::min(kb.ka, K - t0);
-              sim::DmaRequest req;
-              req.route = sim::DmaRoute::DdrToSpm;
-              req.rows = ka_t;
-              req.row_bytes = na_t * sizeof(float);
-              req.src_stride = in.b.ld() * sizeof(float);
-              req.dst_stride = pitch * sizeof(float);
-              return ctx.dma(
-                  core, req, detail::host_src(in.b, t0, j0 + jj, fn),
-                  fn ? cl.core(core).am().raw(pc[core].ba[w % 2].offset,
-                                              ka_t * pitch * sizeof(float))
-                     : nullptr);
+              const std::size_t t0 = k_block(w);
+              return ctx.dma(core, std::min(kb.ka, K - t0), na_t * f,
+                             host(in.b, t0, j0 + jj),
+                             pad(am, buf.ba[w % 2].offset, pitch));
             };
             sim::DmaHandle bh = load_ba(0);
-            for (std::size_t w = 0; w < mine.size(); ++w) {
-              const std::size_t t0 = mine[w] * kb.ka;
-              const std::size_t ka_t = std::min(kb.ka, K - t0);
+            for (std::size_t w = 0; w < mine; ++w) {
+              const std::size_t t0 = k_block(w);
               ctx.wait(core, bh);
-              if (w + 1 < mine.size()) bh = load_ba(w + 1);
-
-              const std::size_t slices = (ma_t + kb.ms - 1) / kb.ms;
-              auto load_as = [&](std::size_t s) -> sim::DmaHandle {
-                const std::size_t u = s * kb.ms;
-                const std::size_t mrows = std::min(kb.ms, ma_t - u);
-                sim::DmaRequest req;
-                req.route = sim::DmaRoute::DdrToSpm;
-                req.rows = mrows;
-                req.row_bytes = ka_t * sizeof(float);
-                req.src_stride = in.a.ld() * sizeof(float);
-                req.dst_stride = ka_t * sizeof(float);
-                return ctx.dma(
-                    core, req,
-                    detail::host_src(in.a, i0 + ii + u, t0, fn),
-                    fn ? cl.core(core).sm().raw(
-                             pc[core].as[s % 2].offset,
-                             mrows * ka_t * sizeof(float))
-                       : nullptr);
-              };
-              sim::DmaHandle ah = load_as(0);
-              for (std::size_t s = 0; s < slices; ++s) {
-                const std::size_t u = s * kb.ms;
-                const std::size_t mrows = std::min(kb.ms, ma_t - u);
-                ctx.wait(core, ah);
-                if (s + 1 < slices) ah = load_as(s + 1);
-                kernelgen::KernelSpec spec;
-                spec.ms = static_cast<int>(mrows);
-                spec.ka = static_cast<int>(ka_t);
-                spec.na = static_cast<int>(na_t);
-                const auto& uk = ctx.cache.get(spec);
-                ctx.kernel(
-                    core, uk,
-                    fn ? cl.core(core).sm().f32(pc[core].as[s % 2].offset,
-                                                mrows * ka_t)
-                       : nullptr,
-                    fn ? cl.core(core).am().f32(pc[core].ba[w % 2].offset,
-                                                ka_t * pitch)
-                       : nullptr,
-                    fn ? cl.core(core).am().f32(
-                             pc[core].ca.offset +
-                                 u * pitch * sizeof(float),
-                             mrows * pitch)
-                       : nullptr);
-              }
+              if (w + 1 < mine) bh = load_ba(w + 1);
+              ctx.slices(core, buf, host(in.a, i0 + ii, t0), ma_t,
+                         std::min(kb.ka, K - t0), kb.ms, na_t, pitch, w % 2,
+                         ElemLayout{});
             }
 
             // Stage the partial into GSM.
-            sim::DmaRequest sreq;
-            sreq.route = sim::DmaRoute::SpmToGsm;
-            sreq.rows = ma_t;
-            sreq.row_bytes = pitch * sizeof(float);
-            sreq.src_stride = pitch * sizeof(float);
-            sreq.dst_stride = pitch * sizeof(float);
-            const auto sh = ctx.dma(
-                core, sreq,
-                fn ? cl.core(core).am().raw(pc[core].ca.offset,
-                                            ma_t * pitch * sizeof(float))
-                   : nullptr,
-                fn ? cl.gsm().raw(stage[core].offset,
-                                  ma_t * pitch * sizeof(float))
-                   : nullptr);
-            FTM_TRACE_COUNTER("reduce.gsm_bytes", sreq.total_bytes());
+            const auto sh =
+                ctx.dma(core, ma_t, pitch, pad(am, buf.ca.offset, pitch),
+                        pad(cl.gsm(), stage[core].offset, pitch));
+            FTM_TRACE_COUNTER("reduce.gsm_bytes", ma_t * pitch);
             ctx.wait(core, sh);
             ctx.phase_end(core, "k-partial", kph0);
           }
@@ -204,65 +123,34 @@ GemmResult run_strategy_k(sim::Cluster& cl, kernelgen::KernelCache& cache,
           const std::uint64_t rph0 = ctx.phase_begin(0);
           for (std::size_t r0 = 0; r0 < ma_t; r0 += kb.reduce_rows) {
             const std::size_t rows = std::min(kb.reduce_rows, ma_t - r0);
+            const Endpoint acc = pad(am0, racc.offset, pitch);
             // Original C chunk (from the GSM panel, tight ng_t pitch).
-            sim::DmaRequest lreq;
-            lreq.route = sim::DmaRoute::GsmToSpm;
-            lreq.rows = rows;
-            lreq.row_bytes = na_t * sizeof(float);
-            lreq.src_stride = ng_t * sizeof(float);
-            lreq.dst_stride = pitch * sizeof(float);
             const auto lh = ctx.dma(
-                0, lreq,
-                fn ? cl.gsm().raw(cg.offset + ((ii + r0) * ng_t + jj) *
-                                                  sizeof(float),
-                                  ((rows - 1) * ng_t + na_t) * sizeof(float))
-                   : nullptr,
-                fn ? cl.core(0).am().raw(racc.offset,
-                                         rows * pitch * sizeof(float))
-                   : nullptr);
-            FTM_TRACE_COUNTER("reduce.gsm_bytes", lreq.total_bytes());
+                0, rows, na_t * f,
+                pad(cl.gsm(), cg.offset + ((ii + r0) * ng_t + jj) * f,
+                    ng_t * f),
+                acc);
+            FTM_TRACE_COUNTER("reduce.gsm_bytes", rows * na_t * f);
             ctx.wait(0, lh);
-            float* accbuf =
-                fn ? cl.core(0).am().f32(racc.offset, rows * pitch) : nullptr;
+            auto* accbuf = reinterpret_cast<float*>(
+                ctx.buf(am0, racc.offset, rows * pitch));
             for (int p = 0; p < W; ++p) {
-              sim::DmaRequest preq;
-              preq.route = sim::DmaRoute::GsmToSpm;
-              preq.rows = rows;
-              preq.row_bytes = pitch * sizeof(float);
-              preq.src_stride = pitch * sizeof(float);
-              preq.dst_stride = pitch * sizeof(float);
               const auto ph = ctx.dma(
-                  0, preq,
-                  fn ? cl.gsm().raw(stage[p].offset +
-                                        r0 * pitch * sizeof(float),
-                                    rows * pitch * sizeof(float))
-                     : nullptr,
-                  fn ? cl.core(0).am().raw(rpart.offset,
-                                           rows * pitch * sizeof(float))
-                     : nullptr);
-              FTM_TRACE_COUNTER("reduce.gsm_bytes", preq.total_bytes());
+                  0, rows, pitch,
+                  pad(cl.gsm(), stage[p].offset + r0 * pitch, pitch),
+                  pad(am0, rpart.offset, pitch));
+              FTM_TRACE_COUNTER("reduce.gsm_bytes", rows * pitch);
               ctx.wait(0, ph);
-              if (fn) {
-                ctx.exec.add_f32(
-                    0, accbuf, cl.core(0).am().f32(rpart.offset, rows * pitch),
-                    rows * pitch);
+              if (ctx.fn) {
+                ctx.exec.add_f32(0, accbuf,
+                                 am0.f32(rpart.offset, rows * pitch / f),
+                                 rows * pitch / f);
               }
-              tl0.compute(rows * pitch / 32 + 1);  // ~1 cycle per vector
+              tl0.compute(rows * pitch / f / 32 + 1);  // ~1 cycle per vector
             }
             // Store the reduced chunk straight to DDR.
-            sim::DmaRequest oreq;
-            oreq.route = sim::DmaRoute::SpmToDdr;
-            oreq.rows = rows;
-            oreq.row_bytes = na_t * sizeof(float);
-            oreq.src_stride = pitch * sizeof(float);
-            oreq.dst_stride = in.c.ld() * sizeof(float);
-            const auto oh = ctx.dma(
-                0, oreq,
-                fn ? cl.core(0).am().raw(racc.offset,
-                                         rows * pitch * sizeof(float))
-                   : nullptr,
-                detail::host_dst(in.c, i0 + ii + r0, j0 + jj, fn));
-            ctx.wait(0, oh);
+            ctx.wait(0, ctx.dma(0, rows, na_t * f, acc,
+                                host(in.c, i0 + ii + r0, j0 + jj)));
           }
           ctx.phase_end(0, "reduce", rph0);
           cl.barrier();  // partials buffer may be reused now

@@ -42,7 +42,6 @@ Tier set_active_tier(Tier t);
 /// acc[x] += x_[x] for x in [0, n) — the strategies' GSM partial merge
 /// and the graph executor's elementwise add/bias ops.
 void add_f32(float* acc, const float* x_, std::size_t n);
-void add_f64(double* acc, const double* x_, std::size_t n);
 
 /// x_[x] = x_[x] > 0 ? x_[x] : 0 for x in [0, n) — the graph executor's
 /// ReLU. Defined via compare-and-mask on every tier, so NaN and -0.0

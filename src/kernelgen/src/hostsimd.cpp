@@ -23,10 +23,6 @@ void add_f32_scalar(float* acc, const float* x_, std::size_t n) {
   for (std::size_t x = 0; x < n; ++x) acc[x] += x_[x];
 }
 
-void add_f64_scalar(double* acc, const double* x_, std::size_t n) {
-  for (std::size_t x = 0; x < n; ++x) acc[x] += x_[x];
-}
-
 void relu_f32_scalar(float* x_, std::size_t n) {
   for (std::size_t x = 0; x < n; ++x) x_[x] = x_[x] > 0.0f ? x_[x] : 0.0f;
 }
@@ -34,24 +30,15 @@ void relu_f32_scalar(float* x_, std::size_t n) {
 #if defined(FTM_HOSTSIMD_X86)
 
 // ---- AVX2 + FMA3 bodies (per-function target attributes) ----------------
-// The callers feed rows padded to vn*32 floats / vn*16 doubles, so n is a
-// multiple of the vector width on the hot path; the scalar tails below
-// only fire for odd n from the generic add_* entry points.
+// The callers feed rows padded to vn*32 floats, so n is a multiple of the
+// vector width on the hot path; the scalar tails below only fire for odd
+// n from the generic entry points.
 
 FTM_AVX2_FN void add_f32_avx2(float* acc, const float* x_, std::size_t n) {
   std::size_t x = 0;
   for (; x + 8 <= n; x += 8) {
     _mm256_storeu_ps(acc + x, _mm256_add_ps(_mm256_loadu_ps(acc + x),
                                             _mm256_loadu_ps(x_ + x)));
-  }
-  for (; x < n; ++x) acc[x] += x_[x];
-}
-
-FTM_AVX2_FN void add_f64_avx2(double* acc, const double* x_, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    _mm256_storeu_pd(acc + x, _mm256_add_pd(_mm256_loadu_pd(acc + x),
-                                            _mm256_loadu_pd(x_ + x)));
   }
   for (; x < n; ++x) acc[x] += x_[x];
 }
@@ -77,14 +64,6 @@ void add_f32_neon(float* acc, const float* x_, std::size_t n) {
   std::size_t x = 0;
   for (; x + 4 <= n; x += 4) {
     vst1q_f32(acc + x, vaddq_f32(vld1q_f32(acc + x), vld1q_f32(x_ + x)));
-  }
-  for (; x < n; ++x) acc[x] += x_[x];
-}
-
-void add_f64_neon(double* acc, const double* x_, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 2 <= n; x += 2) {
-    vst1q_f64(acc + x, vaddq_f64(vld1q_f64(acc + x), vld1q_f64(x_ + x)));
   }
   for (; x < n; ++x) acc[x] += x_[x];
 }
@@ -167,18 +146,6 @@ void add_f32(float* acc, const float* x_, std::size_t n) {
     case Tier::Neon: add_f32_neon(acc, x_, n); return;
 #endif
     default: add_f32_scalar(acc, x_, n); return;
-  }
-}
-
-void add_f64(double* acc, const double* x_, std::size_t n) {
-  FTM_EXPECTS(n == 0 || (acc != nullptr && x_ != nullptr));
-  switch (active_tier()) {
-#if defined(FTM_HOSTSIMD_X86)
-    case Tier::Avx2: add_f64_avx2(acc, x_, n); return;
-#elif defined(FTM_HOSTSIMD_NEON)
-    case Tier::Neon: add_f64_neon(acc, x_, n); return;
-#endif
-    default: add_f64_scalar(acc, x_, n); return;
   }
 }
 

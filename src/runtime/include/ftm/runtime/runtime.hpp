@@ -133,7 +133,6 @@ struct IntegrityPolicy {
 struct RuntimeOptions {
   int clusters = 4;          ///< FT-m7032 has four GPDSP clusters
   core::FtimmOptions gemm;   ///< defaults for submit(in) / run_all
-  bool plan_cache = true;
   bool work_stealing = true;
   bool split_wide = true;          ///< shard huge submissions (async path)
   std::size_t split_min_rows = 512;  ///< min M rows per shard

@@ -53,9 +53,8 @@ struct RuntimeStats {
   std::uint64_t failed = 0;      ///< requests whose future got an exception
   std::uint64_t executed = 0;    ///< dispatches, including shards/retries
   // One plan hit or miss per cluster dispatch: a plan-cache hit or a batch
-  // member's shared pre-plan is a hit, anything planned afresh (every
-  // dispatch when RuntimeOptions::plan_cache is off) a miss. Node-tier
-  // dispatches plan on their nodes and count as neither.
+  // member's shared pre-plan is a hit, anything planned afresh a miss.
+  // Node-tier dispatches plan on their nodes and count as neither.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
   std::uint64_t tuned_plans = 0;  ///< dispatches that ran a tuned plan

@@ -777,7 +777,7 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
     // shared by every same-shape batch-mate — no per-member cache probe.
     plan = *req.preplanned;
     rs.plan_cache_hit = true;
-  } else if (ro_.plan_cache) {
+  } else {
     const PlanKey key = PlanKey::of(req.in.m, req.in.n, req.in.k, req.opt);
     if (auto hit = plans_.find(key)) {
       plan = *hit;
@@ -786,11 +786,8 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
       plan = cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
       plans_.insert(key, plan);
     }
-  } else {
-    plan = cs.engine->plan(req.in.m, req.in.n, req.in.k, req.opt);
   }
-  // One hit or miss per cluster dispatch; a plan-cache-less runtime
-  // misses every time.
+  // One hit or miss per cluster dispatch.
   count(rs.plan_cache_hit ? &RuntimeStats::plan_hits
                           : &RuntimeStats::plan_misses);
   if (plan.tuned) {

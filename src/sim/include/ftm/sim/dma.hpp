@@ -26,7 +26,6 @@ enum class DmaRoute {
   SpmToDdr,   ///< SM/AM/GSM -> main memory
   GsmToSpm,   ///< GSM -> SM/AM (on-chip crossbar)
   SpmToGsm,   ///< SM/AM -> GSM
-  OnChip,     ///< SM <-> AM style moves (rare)
 };
 
 /// A 2D strided transfer: `rows` rows of `row_bytes`, with byte strides

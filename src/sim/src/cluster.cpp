@@ -13,7 +13,6 @@ const char* route_span_name(DmaRoute r) {
     case DmaRoute::SpmToDdr: return "dma spm->ddr";
     case DmaRoute::GsmToSpm: return "dma gsm->spm";
     case DmaRoute::SpmToGsm: return "dma spm->gsm";
-    case DmaRoute::OnChip: return "dma onchip";
   }
   return "dma";
 }
@@ -24,7 +23,6 @@ const char* route_counter_name(DmaRoute r) {
     case DmaRoute::SpmToDdr: return "ddr.write_bytes";
     case DmaRoute::GsmToSpm: return "gsm.read_bytes";
     case DmaRoute::SpmToGsm: return "gsm.write_bytes";
-    case DmaRoute::OnChip: return "onchip.bytes";
   }
   return "dma.bytes";
 }

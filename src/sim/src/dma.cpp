@@ -25,9 +25,6 @@ std::uint64_t dma_cost_cycles(const isa::MachineConfig& mc,
       per_cycle = per_core < aggregate ? per_core : aggregate;
       break;
     }
-    case DmaRoute::OnChip:
-      per_cycle = static_cast<double>(mc.am_bytes_per_cycle);
-      break;
   }
   FTM_ASSERT(per_cycle > 0);
   return mc.dma_startup_cycles +

@@ -505,10 +505,9 @@ TEST(GraphExecutorTest, FaultInjectedNodeRetriesThroughRuntime) {
 
 TEST(HostSimdValidation, NullArraysWithNonZeroLengthThrow) {
   float f = 1.0f;
-  double d = 1.0;
   EXPECT_THROW(kernelgen::hostsimd::add_f32(nullptr, &f, 4),
                ContractViolation);
-  EXPECT_THROW(kernelgen::hostsimd::add_f64(&d, nullptr, 4),
+  EXPECT_THROW(kernelgen::hostsimd::add_f32(&f, nullptr, 4),
                ContractViolation);
   EXPECT_THROW(kernelgen::hostsimd::relu_f32(nullptr, 4),
                ContractViolation);

@@ -109,24 +109,17 @@ TEST(HostSimd, PrimitivesBitIdenticalToScalar) {
   for (std::size_t n : {1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u,
                         100u, 257u}) {
     std::vector<float> fx(n), facc0(n), facc1(n);
-    std::vector<double> dx(n), dacc0(n), dacc1(n);
     for (std::size_t i = 0; i < n; ++i) {
       fx[i] = rng.next_float(-2, 2);
       facc0[i] = facc1[i] = rng.next_float(-2, 2);
-      dx[i] = rng.next_float(-2, 2);
-      dacc0[i] = dacc1[i] = rng.next_float(-2, 2);
     }
 
     hostsimd::set_active_tier(Tier::Scalar);
     hostsimd::add_f32(facc0.data(), fx.data(), n);
-    hostsimd::add_f64(dacc0.data(), dx.data(), n);
     hostsimd::set_active_tier(hostsimd::best_tier());
     hostsimd::add_f32(facc1.data(), fx.data(), n);
-    hostsimd::add_f64(dacc1.data(), dx.data(), n);
     ASSERT_EQ(std::memcmp(facc0.data(), facc1.data(), n * sizeof(float)), 0)
         << "add_f32 n=" << n;
-    ASSERT_EQ(std::memcmp(dacc0.data(), dacc1.data(), n * sizeof(double)), 0)
-        << "add_f64 n=" << n;
   }
 }
 
