@@ -211,8 +211,6 @@ void suite_host(Ctx& ctx) {
 // Overhead of the trace layer: the same GEMM workload with no session
 // installed vs an active one, gated on the functional workload at < 2%
 // over 11 paired reps. The timing-only worst case is reported, not gated.
-// Built with -DFTM_TRACE=OFF the instrumentation does not exist, so both
-// columns measure identical code.
 void suite_trace_overhead(Ctx& ctx) {
   constexpr int kReps = 11;
   constexpr double kLimitPct = 2.0;
@@ -241,11 +239,6 @@ void suite_trace_overhead(Ctx& ctx) {
     if (functional) headline_pct = tm.gated_pct();
   }
   t.print("Trace overhead (active session vs none)");
-#if FTM_TRACE_ENABLED
-  std::printf("\ninstrumentation: compiled in (FTM_TRACE=ON)\n");
-#else
-  std::printf("\ninstrumentation: compiled out (FTM_TRACE=OFF)\n");
-#endif
   ctx.check(headline_pct < kLimitPct,
             "trace_overhead: functional overhead %.2f%% >= %.2f%% limit",
             headline_pct, kLimitPct);

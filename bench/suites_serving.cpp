@@ -111,8 +111,7 @@ SdcPoint run_sdc_point(int requests, double rate, std::uint64_t seed) {
   ro.keep_request_log = false;
   ro.resilience.enabled = true;
   ro.fault_injector = &fi;
-  ro.integrity = runtime::IntegrityPolicy::uniform(
-      core::IntegrityMode::VerifyCorrect);
+  ro.integrity = core::IntegrityMode::VerifyCorrect;
   GemmRuntime rt(ro);
 
   struct Problem {

@@ -606,7 +606,7 @@ void suite_gate(Ctx& ctx) {
     FtimmOptions opt = timing();
     const GemmInput in = GemmInput::shape_only(s.m, s.n, s.k);
     const std::uint64_t off = eng.sgemm(in, opt).cycles;
-    opt.integrity.mode = core::IntegrityMode::Verify;
+    opt.integrity = core::IntegrityMode::Verify;
     const std::uint64_t on = eng.sgemm(in, opt).cycles;
     ctx.info(name(s), "abft_off", off);
     ctx.info(name(s), "abft_verify", on);

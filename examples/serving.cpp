@@ -77,14 +77,7 @@ int main(int argc, char** argv) {
   const bool qos_mode = cli.has("qos");
 
   trace::TraceSession session;
-  if (!trace_path.empty()) {
-    if (!FTM_TRACE_ENABLED) {
-      std::printf(
-          "note: built with -DFTM_TRACE=OFF; %s will contain no events\n",
-          trace_path.c_str());
-    }
-    session.start();
-  }
+  if (!trace_path.empty()) session.start();
 
   std::unique_ptr<fault::FaultInjector> injector;
   runtime::RuntimeOptions ro;
@@ -120,8 +113,7 @@ int main(int argc, char** argv) {
     ro.fault_injector = injector.get();
     ro.resilience.enabled = true;
     ro.gemm.functional = true;
-    ro.integrity = runtime::IntegrityPolicy::uniform(
-        core::IntegrityMode::VerifyCorrect);
+    ro.integrity = core::IntegrityMode::VerifyCorrect;
     std::printf("sdc mode: seed %d, ABFT verify+correct —", sdc_seed);
     for (int c = 0; c < clusters; ++c) {
       std::printf(" c%d[flip=%.3f]", c,

@@ -8,10 +8,13 @@
 // the produced C against them. One damaged element perturbs exactly one
 // row sum and one column sum by the same delta, so a single error is
 // located at the (row, col) intersection and repaired in place by
-// subtracting the delta; anything that doesn't fit that pattern — two or
-// more damaged elements, or a repair that fails re-verification — is
-// escalated as ftm::IntegrityError so the runtime's resilience path
-// (retry on another cluster, CPU fallback) recomputes the block.
+// recomputing that element: its pre-GEMM value plus one k-length dot
+// product, in double. The checksums only locate the error; deriving the
+// value from them would carry two row sums' rounding onto one element.
+// Anything that doesn't fit that pattern — two or more damaged elements,
+// or a repair that fails re-verification — is escalated as
+// ftm::IntegrityError so the runtime's resilience path (retry on another
+// cluster, CPU fallback) recomputes the block.
 //
 // Tolerance: the device accumulates C in FP32 while the checker's
 // expectations are (near-)exact doubles, so the comparison must absorb
@@ -19,7 +22,7 @@
 // (|C_old| plus |A|·|B| products — computed alongside the expectations),
 // a sqrt-law accumulation factor, and FP32 epsilon:
 //
-//   tol_row[i] ~ scale · eps32 · sqrt(k+n) · abs_row[i]
+//   tol_row[i] ~ 24 · eps32 · sqrt(k+n) · abs_row[i]
 //
 // The injector's bit-flips (fault::FaultInjector::on_store) always
 // damage the exponent MSB, producing deltas >= ~2.0 — orders of
@@ -30,7 +33,7 @@
 // This library is pure host-side checksum math: it depends only on
 // ftm_util (matrix views) and ftm_fault (IntegrityError). The engine
 // (src/core/ftimm.cpp) owns policy — when to verify, what to charge in
-// simulated cycles — via core::IntegrityOptions.
+// simulated cycles — via FtimmOptions::integrity.
 #pragma once
 
 #include <cstdint>
@@ -58,21 +61,29 @@ std::uint64_t checksum_flops(std::size_t m, std::size_t n, std::size_t k);
 /// checksum row + column (n + m).
 std::uint64_t checksum_bytes(std::size_t m, std::size_t n, std::size_t k);
 
+/// Extra FLOPs one in-place repair costs: the k-length dot product that
+/// recomputes the located element.
+std::uint64_t repair_flops(std::size_t k);
+
+/// Extra bytes one in-place repair moves: the element's A row and B
+/// column (k values each) and its pre-GEMM C value.
+std::uint64_t repair_bytes(std::size_t k);
+
 /// One GEMM call's checksum state: construct *before* the GEMM mutates C,
-/// verify after it completes.
+/// verify after it completes. A and B must stay alive and unchanged until
+/// verify() returns; the repair reads them.
 class Checker {
  public:
   /// Captures expected post-GEMM row/column checksums of C += A·B (double
-  /// precision) plus the magnitude sums the tolerances scale with.
-  /// `tolerance_scale` multiplies every tolerance (IntegrityOptions knob);
-  /// 1.0 is calibrated for uniform [-1, 1) data across the test shapes.
-  Checker(ConstMatrixView a, ConstMatrixView b, ConstMatrixView c,
-          double tolerance_scale = 1.0);
+  /// precision), the magnitude sums the tolerances scale with (calibrated
+  /// for uniform [-1, 1) data across the test shapes) and the pre-GEMM C
+  /// the repair starts from.
+  Checker(ConstMatrixView a, ConstMatrixView b, ConstMatrixView c);
 
   /// Verifies the produced C. With `correct` false, any mismatch throws
   /// IntegrityError. With `correct` true, a consistent single-element
   /// mismatch (exactly one row and one column flagged, agreeing deltas)
-  /// is repaired in place and re-verified; everything else throws
+  /// is recomputed in place and re-verified; everything else throws
   /// IntegrityError carrying the mismatch count. `cluster` only labels
   /// the error.
   VerifyStats verify(MatrixView c, bool correct, int cluster = -1) const;
@@ -83,6 +94,8 @@ class Checker {
 
  private:
   std::size_t m_ = 0, n_ = 0, k_ = 0;
+  ConstMatrixView a_, b_;
+  std::vector<float> c_old_;               ///< pre-GEMM C, row-major m x n
   std::vector<double> row_sum_, col_sum_;  ///< expected checksums
   std::vector<double> row_tol_, col_tol_;  ///< absolute tolerances
 };

@@ -32,11 +32,17 @@ std::uint64_t checksum_bytes(std::size_t m, std::size_t n, std::size_t k) {
   return 4 * static_cast<std::uint64_t>(m + n + 2 * k);
 }
 
-Checker::Checker(ConstMatrixView a, ConstMatrixView b, ConstMatrixView c,
-                 double tolerance_scale)
-    : m_(a.rows()), n_(b.cols()), k_(a.cols()) {
+std::uint64_t repair_flops(std::size_t k) {
+  return 2 * static_cast<std::uint64_t>(k);
+}
+
+std::uint64_t repair_bytes(std::size_t k) {
+  return 4 * (2 * static_cast<std::uint64_t>(k) + 1);
+}
+
+Checker::Checker(ConstMatrixView a, ConstMatrixView b, ConstMatrixView c)
+    : m_(a.rows()), n_(b.cols()), k_(a.cols()), a_(a), b_(b) {
   FTM_EXPECTS(b.rows() == k_ && c.rows() == m_ && c.cols() == n_);
-  FTM_EXPECTS(tolerance_scale > 0);
 
   // B row sums (B·e) and magnitude sums, one pass.
   std::vector<double> bs(k_, 0.0), babs(k_, 0.0);
@@ -80,10 +86,12 @@ Checker::Checker(ConstMatrixView a, ConstMatrixView b, ConstMatrixView c,
     }
   }
 
-  // C_old rides along both expectations (the GEMM accumulates into it).
+  // C_old rides along both expectations (the GEMM accumulates into it),
+  // and a repair starts from it.
+  c_old_.resize(m_ * n_);
   for (std::size_t i = 0; i < m_; ++i) {
     for (std::size_t j = 0; j < n_; ++j) {
-      const double v = c.at(i, j);
+      const double v = c_old_[i * n_ + j] = c.at(i, j);
       row_sum_[i] += v;
       col_sum_[j] += v;
       row_tol_[i] += std::abs(v);
@@ -92,10 +100,10 @@ Checker::Checker(ConstMatrixView a, ConstMatrixView b, ConstMatrixView c,
   }
 
   const double eps = std::numeric_limits<float>::epsilon();
-  const double row_fac = tolerance_scale * kTolBase * eps *
-                         std::sqrt(static_cast<double>(k_ + n_ + 1));
-  const double col_fac = tolerance_scale * kTolBase * eps *
-                         std::sqrt(static_cast<double>(k_ + m_ + 1));
+  const double row_fac =
+      kTolBase * eps * std::sqrt(static_cast<double>(k_ + n_ + 1));
+  const double col_fac =
+      kTolBase * eps * std::sqrt(static_cast<double>(k_ + m_ + 1));
   for (double& t : row_tol_) t = row_fac * t + kTolFloor;
   for (double& t : col_tol_) t = col_fac * t + kTolFloor;
 }
@@ -141,11 +149,14 @@ VerifyStats Checker::verify(MatrixView c, bool correct, int cluster) const {
   if (correct && bad_rows == 1 && bad_cols == 1 &&
       std::abs(delta_row - delta_col) <=
           row_tol_[bad_i] + col_tol_[bad_j]) {
-    // Consistent single-element damage at (bad_i, bad_j): subtract the
-    // delta and re-verify both lines to guard against a miscorrection
+    // Consistent single-element damage at (bad_i, bad_j): recompute the
+    // element and re-verify both lines to guard against a miscorrection
     // (e.g. two errors in one row whose column deltas happened to merge).
-    float& elem = c.at(bad_i, bad_j);
-    elem = static_cast<float>(static_cast<double>(elem) - delta_row);
+    double v = c_old_[bad_i * n_ + bad_j];
+    for (std::size_t l = 0; l < k_; ++l) {
+      v += static_cast<double>(a_.at(bad_i, l)) * b_.at(l, bad_j);
+    }
+    c.at(bad_i, bad_j) = static_cast<float>(v);
     double rs = 0, cs = 0;
     for (std::size_t j = 0; j < n_; ++j) rs += c.at(bad_i, j);
     for (std::size_t i = 0; i < m_; ++i) cs += c.at(i, bad_j);

@@ -30,9 +30,9 @@ enum class Strategy {
 const char* to_string(Strategy s);
 
 /// How much ABFT checksum protection a GEMM call gets (src/abft/,
-/// docs/robustness.md). Ordered by strength so policies can be merged
-/// with std::max: a request may strengthen but never weaken the
-/// runtime's per-priority-class floor.
+/// docs/robustness.md). Ordered by strength so a request's mode merges
+/// with the runtime's floor by std::max: a request may strengthen but
+/// never weaken it.
 enum class IntegrityMode {
   Off,            ///< no checksums; bit/cycle-identical to pre-ABFT builds
   Verify,         ///< verify checksums at store; any mismatch escalates
@@ -40,15 +40,6 @@ enum class IntegrityMode {
 };
 
 const char* to_string(IntegrityMode m);
-
-/// ABFT policy knobs carried on FtimmOptions (and merged per QoS class by
-/// the runtime).
-struct IntegrityOptions {
-  IntegrityMode mode = IntegrityMode::Off;
-  /// Multiplies the norm-scaled checksum tolerance (1.0 = calibrated
-  /// default); raise it for data with pathological dynamic range.
-  double tolerance_scale = 1.0;
-};
 
 /// One GEMM invocation: C += A * B. Views may be empty when the engine
 /// runs in timing-only mode (huge sweeps where only cycles matter).
@@ -105,7 +96,7 @@ struct FtimmOptions {
   TaskPool* host_pool = nullptr;
   /// ABFT checksum verification (src/abft/). Off by default: the
   /// verify-off path performs no checksum work and charges no cycles.
-  IntegrityOptions integrity;
+  IntegrityMode integrity = IntegrityMode::Off;
   /// Compute precision. F32 is the paper's path. F16/BF16 route sgemm()
   /// through the mixed-precision engine (hgemm.hpp): FP32 views in DDR,
   /// operands packed to halves outside the timed region, FP32
@@ -136,7 +127,7 @@ struct GemmResult {
   /// the accumulation order differs) but the cycle fields are zero — the
   /// host is outside the simulated cycle model.
   bool cpu_fallback = false;
-  /// ABFT integrity accounting (all zero when integrity.mode == Off).
+  /// ABFT integrity accounting (all zero when integrity == Off).
   std::uint64_t checksum_checks = 0;  ///< row+col checksum comparisons
   std::uint64_t sdc_detected = 0;     ///< checksum mismatches observed
   std::uint64_t sdc_corrected = 0;    ///< elements repaired in place

@@ -151,23 +151,21 @@ GemmPlan FtimmEngine::plan(std::size_t m, std::size_t n, std::size_t k,
 
 namespace {
 
-/// Simulated cycles the Huang–Abraham checksum scheme costs: the extra
-/// FLOPs charged at per-core peak across the run's active cores, plus one
-/// DMA-cost charge for the checksum rows/columns riding the panel
-/// transfers. A pure cycle-model addend — no data moves here.
-std::uint64_t checksum_cost_cycles(const isa::MachineConfig& mc,
-                                   const GemmInput& in, int cores) {
+/// Simulated cycles of `flops` extra FLOPs charged at per-core peak
+/// across `cores`, plus one DMA-cost charge for `bytes` from DDR. A pure
+/// cycle-model addend — no data moves here.
+std::uint64_t abft_cost_cycles(const isa::MachineConfig& mc,
+                               std::uint64_t flops, std::uint64_t bytes,
+                               int cores) {
   const double flops_per_cycle =
       static_cast<double>(mc.peak_flops_per_cycle()) *
       static_cast<double>(cores);
   const auto flop_cycles = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(abft::checksum_flops(in.m, in.n, in.k)) /
-                flops_per_cycle));
+      std::ceil(static_cast<double>(flops) / flops_per_cycle));
   sim::DmaRequest req;
   req.route = sim::DmaRoute::DdrToSpm;
   req.rows = 1;
-  req.row_bytes =
-      static_cast<std::size_t>(abft::checksum_bytes(in.m, in.n, in.k));
+  req.row_bytes = static_cast<std::size_t>(bytes);
   return flop_cycles + sim::dma_cost_cycles(mc, req, cores);
 }
 
@@ -207,10 +205,10 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
   // protect but still pay the modeled checksum cycles, so the overhead is
   // visible in cycle sweeps. The Off path must not touch the abft layer
   // at all — it stays byte- and cycle-identical to a pre-ABFT build.
-  const bool protect = eff.integrity.mode != IntegrityMode::Off;
+  const bool protect = eff.integrity != IntegrityMode::Off;
   std::optional<abft::Checker> checker;
   if (protect && eff.functional && in.c.data() != nullptr) {
-    checker.emplace(in.a, in.b, in.c, eff.integrity.tolerance_scale);
+    checker.emplace(in.a, in.b, in.c);
   }
 
   GemmResult r;
@@ -231,12 +229,16 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
   }
   if (!protect) return r;
 
+  // The checksum scheme across the run's cores, plus one core's repair
+  // (its dot product and A row/B column DMA) per corrected element.
+  r.checksum_cycles = abft_cost_cycles(
+      mc_, abft::checksum_flops(in.m, in.n, in.k),
+      abft::checksum_bytes(in.m, in.n, in.k), r.cores);
   if (checker) {
     // Throws IntegrityError when the damage exceeds in-place repair; the
     // runtime's resilience path recomputes (C is unspecified until then).
     const abft::VerifyStats vs = checker->verify(
-        in.c, eff.integrity.mode == IntegrityMode::VerifyCorrect,
-        cluster_.id());
+        in.c, eff.integrity == IntegrityMode::VerifyCorrect, cluster_.id());
     r.checksum_checks = static_cast<std::uint64_t>(vs.checks);
     r.sdc_detected = static_cast<std::uint64_t>(vs.detected);
     r.sdc_corrected = static_cast<std::uint64_t>(vs.corrected);
@@ -246,9 +248,11 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
     }
     if (r.sdc_corrected > 0) {
       FTM_TRACE_COUNTER("integrity.corrected", r.sdc_corrected);
+      r.checksum_cycles +=
+          r.sdc_corrected * abft_cost_cycles(mc_, abft::repair_flops(in.k),
+                                             abft::repair_bytes(in.k), 1);
     }
   }
-  r.checksum_cycles = checksum_cost_cycles(mc_, in, r.cores);
   r.cycles += r.checksum_cycles;
   derive_rates(r, in.flops(), r.cores, mc_);
   FTM_TRACE_COUNTER("integrity.cycles", r.checksum_cycles);

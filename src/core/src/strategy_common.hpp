@@ -68,7 +68,7 @@ struct RunCtx {
 
   /// Cached active session (nullptr = tracing off). Looked up once per
   /// GEMM; an active session outlives the call by contract.
-  trace::TraceSession* trace_ = nullptr;
+  trace::TraceSession* trace_ = trace::TraceSession::current();
 
   RunCtx(sim::Cluster& c, kernelgen::KernelCache& k, const FtimmOptions& o)
       : cl(c),
@@ -81,9 +81,6 @@ struct RunCtx {
     cl.reset();
     cl.set_functional(o.functional);
     cl.set_active_cores(o.cores);
-#if FTM_TRACE_ENABLED
-    trace_ = trace::TraceSession::current();
-#endif
   }
 
   /// Cores that actually receive work. Idle cores issue no DMA, so they
@@ -199,7 +196,6 @@ struct RunCtx {
   /// expose.
   void wait(int core, sim::DmaHandle h) {
     auto& tl = cl.timeline(core);
-#if FTM_TRACE_ENABLED
     if (trace_ != nullptr) {
       const std::uint64_t done = tl.done_time(h);
       if (done > tl.now()) {
@@ -215,7 +211,6 @@ struct RunCtx {
         trace_->count("stall.dma_wait_cycles", done - tl.now());
       }
     }
-#endif
     tl.dma_wait(h);
   }
 
@@ -229,7 +224,6 @@ struct RunCtx {
     ++kernel_calls;
     const std::uint64_t cycles = uk.cost_only();
     if (fn) exec.kernel(core, uk, a, b, c);
-#if FTM_TRACE_ENABLED
     if (trace_ != nullptr) {
       const sim::ExecResult& calib = uk.calibration();
       trace::Event e;
@@ -248,23 +242,18 @@ struct RunCtx {
       trace_->count("kernel.cycles", cycles);
       trace_->count("kernel.stall_cycles", calib.stall_cycles);
     }
-#endif
     cl.timeline(core).compute(cycles);
   }
 
   /// Phase spans (ping-pong C-tile rounds, the K-strategy reduction...):
   /// `t0 = phase_begin(core)` before, `phase_end(core, "name", t0)` after.
-  /// Both collapse to nothing when tracing is off.
+  /// Both cost one null check while no session is active.
   std::uint64_t phase_begin(int core) const {
-#if FTM_TRACE_ENABLED
     if (trace_ != nullptr) return cl.trace_epoch() + cl.timeline(core).now();
-#endif
-    (void)core;
     return 0;
   }
 
   void phase_end(int core, const char* name, std::uint64_t t0) {
-#if FTM_TRACE_ENABLED
     if (trace_ != nullptr) {
       trace::Event e;
       e.name = name;
@@ -277,11 +266,6 @@ struct RunCtx {
       e.track = trace::TrackKind::Compute;
       trace_->record(e);
     }
-#else
-    (void)core;
-    (void)name;
-    (void)t0;
-#endif
   }
 
   /// Closes the run; rates come from derive_rates at the peak of `dtype`.
@@ -301,7 +285,6 @@ struct RunCtx {
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - wall_start_)
             .count();
-#if FTM_TRACE_ENABLED
     if (trace_ != nullptr) {
       trace::Event e;
       e.name = "gemm";
@@ -324,7 +307,6 @@ struct RunCtx {
       trace_->count("host.pool_threads",
                     static_cast<std::uint64_t>(exec.parallelism()));
     }
-#endif
     return r;
   }
 

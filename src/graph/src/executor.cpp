@@ -174,11 +174,7 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
         .placement;
   };
 
-#if FTM_TRACE_ENABLED
   trace::TraceSession* ts = trace::TraceSession::current();
-#else
-  trace::TraceSession* ts = nullptr;
-#endif
   const std::uint64_t run_t0 = ts != nullptr ? ts->host_now_us() : 0;
 
   GraphResult gr;
@@ -289,7 +285,6 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
     gr.cycles += st.cycles;
     gr.ddr_bytes += st.ddr_bytes;
     gr.ddr_bytes_unplanned += st.ddr_bytes_unplanned;
-#if FTM_TRACE_ENABLED
     if (ts != nullptr) {
       trace::Event e;
       e.name = "graph.node";
@@ -302,7 +297,6 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
       e.arg("ddr_saved", st.ddr_bytes_unplanned - st.ddr_bytes);
       ts->record(e);
     }
-#endif
     gr.node_stats.push_back(std::move(st));
   }
 
@@ -311,7 +305,6 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
   gr.host_wall_us = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - wall_start)
                         .count();
-#if FTM_TRACE_ENABLED
   if (ts != nullptr) {
     trace::Event e;
     e.name = "graph.run";
@@ -332,7 +325,6 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
     ts->count("graph.inplace_tensors", plan_.inplace_tensors);
     ts->count("graph.spilled_tensors", plan_.spilled_tensors);
   }
-#endif
   return gr;
 }
 

@@ -72,8 +72,6 @@ class Interconnect {
   // Cumulative accounting (across reset_clocks).
   std::uint64_t total_bytes() const { return total_bytes_; }
   std::uint64_t total_transfers() const { return total_transfers_; }
-  /// Sum over links of cycles spent busy (latency + serialization).
-  std::uint64_t link_busy_cycles() const { return busy_cycles_; }
 
  private:
   /// Busy-until clock of the directed link src -> dst; creates it at 0.
@@ -87,7 +85,6 @@ class Interconnect {
   std::map<std::pair<int, int>, std::uint64_t> clocks_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_transfers_ = 0;
-  std::uint64_t busy_cycles_ = 0;
 };
 
 }  // namespace ftm::nodes

@@ -62,7 +62,6 @@ std::uint64_t Interconnect::send(int src, int dst, std::uint64_t bytes,
     std::uint64_t& busy = link_clock(at, next);
     const std::uint64_t begin = std::max(t, busy);
     t = begin + hop_cost(bytes);
-    busy_cycles_ += t - begin;
     busy = t;
     at = next;
   }

@@ -5,13 +5,12 @@
 // micro-kernels a plan needs are memoized in the engines' shared
 // KernelCache, so a plan hit also means no kernel generation.
 //
-// Thread-safe: readers take a shared lock; hit/miss counters are atomics
-// so the hot path never writes under the shared lock. Two threads missing
-// the same key concurrently both compute the (deterministic, identical)
-// plan and the second insert is a no-op.
+// Thread-safe: readers take a shared lock. Two threads missing the same
+// key concurrently both compute the (deterministic, identical) plan and
+// the second insert is a no-op. Hits and misses are counted once, in
+// RuntimeStats::plan_hits/plan_misses.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -48,21 +47,17 @@ struct PlanKey {
 
 class PlanCache {
  public:
-  /// Returns the cached plan and counts a hit; nullopt counts a miss.
+  /// Returns the cached plan, or nullopt on a miss.
   std::optional<core::GemmPlan> find(const PlanKey& key) const;
 
   /// Inserts (first writer wins; duplicates are ignored).
   void insert(const PlanKey& key, const core::GemmPlan& plan);
 
   std::size_t size() const;
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
 
  private:
   mutable std::shared_mutex mu_;
   std::map<PlanKey, core::GemmPlan> plans_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace ftm::runtime

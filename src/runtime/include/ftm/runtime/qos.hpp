@@ -60,11 +60,6 @@ struct QosOptions {
   /// that is admitted but finishes late is *not* failed — the caller
   /// accounts goodput from RequestStats::{arrival,finish}_cycle.
   std::uint64_t deadline_cycles = 0;
-  /// Per-request ABFT floor (docs/robustness.md): merged with the GEMM
-  /// options' own integrity mode and the runtime's per-priority-class
-  /// policy — the *strongest* of the three wins, so a request can demand
-  /// more protection than its class but never opt out of the class floor.
-  core::IntegrityOptions integrity;
 };
 
 /// Why try_submit() refused a request. None = accepted.

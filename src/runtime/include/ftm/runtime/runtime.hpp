@@ -28,14 +28,14 @@
 // Resilience (ISSUE 3, docs/robustness.md): with ResilienceOptions
 // enabled, a dispatch that ends in an ftm::FaultError is retried with
 // exponential backoff on a *different* cluster (shards of a split request
-// re-dispatch individually instead of poisoning the merged promise),
-// per-request deadlines bound both wall-clock and simulated-cycle
-// latency, a per-cluster circuit breaker quarantines clusters after
-// consecutive faults (draining their queues to healthy clusters and
-// probing for recovery), and when every DSP path is exhausted the request
-// executes on the host CPU (src/cpu/cpu_gemm) so its future still
-// resolves with a correct C. Every future resolves: with a value, or
-// with a typed FaultError — never a hang and never silent corruption.
+// re-dispatch individually instead of poisoning the merged promise), a
+// per-dispatch deadline bounds simulated-cycle latency, a per-cluster
+// circuit breaker quarantines clusters after consecutive faults (draining
+// their queues to healthy clusters and probing for recovery), and when
+// every DSP path is exhausted the request executes on the host CPU
+// (src/cpu/cpu_gemm) so its future still resolves with a correct C.
+// Every future resolves: with a value, or with a typed FaultError —
+// never a hang and never silent corruption.
 //
 // Simulated time: every cluster keeps cores_per_cluster lane clocks. A
 // request occupies its opt.cores least-loaded lanes (within lane_limit)
@@ -78,12 +78,8 @@ struct ResilienceOptions {
   /// Re-dispatches allowed per request (or per shard) after a FaultError;
   /// each retry binds to a different cluster and restores C first.
   int max_retries = 2;
-  double backoff_ms = 0.05;        ///< first retry delay (host wall-clock)
-  double backoff_multiplier = 2.0; ///< exponential growth per attempt
-  /// Wall-clock budget per request, from submit() to resolution; 0 = none.
-  /// A request over budget resolves with FaultError(DeadlineExceeded)
-  /// without (re-)executing.
-  double deadline_ms = 0;
+  /// First retry delay (host wall-clock); each further retry doubles it.
+  double backoff_ms = 0.05;
   /// Simulated-cycle budget per dispatch; 0 = none. A dispatch whose
   /// simulated cost exceeds it counts as a fault (retryable: sim cycles
   /// are not wall time, and a healthy cluster may meet the budget).
@@ -98,38 +94,6 @@ struct ResilienceOptions {
   bool cpu_fallback = true;
 };
 
-/// Per-priority-class ABFT floors (ISSUE 8, docs/robustness.md §ABFT).
-/// The effective integrity of a dispatch is the *strongest* of: the
-/// request's own FtimmOptions::integrity, its QosOptions::integrity, and
-/// its priority class's floor here — a request can demand more protection
-/// than its class but never opt out of the class floor. Tolerance scales
-/// merge by max (the loosest tolerance wins, avoiding false positives).
-struct IntegrityPolicy {
-  core::IntegrityOptions latency;  ///< floor for Priority::Latency
-  core::IntegrityOptions normal;   ///< floor for Priority::Normal
-  core::IntegrityOptions bulk;     ///< floor for Priority::Bulk
-
-  const core::IntegrityOptions& for_priority(Priority p) const {
-    switch (p) {
-      case Priority::Latency: return latency;
-      case Priority::Bulk: return bulk;
-      case Priority::Normal: break;
-    }
-    return normal;
-  }
-
-  /// Convenience: one floor for every class.
-  static IntegrityPolicy uniform(core::IntegrityMode mode,
-                                 double tolerance_scale = 1.0) {
-    IntegrityPolicy p;
-    for (core::IntegrityOptions* o : {&p.latency, &p.normal, &p.bulk}) {
-      o->mode = mode;
-      o->tolerance_scale = tolerance_scale;
-    }
-    return p;
-  }
-};
-
 struct RuntimeOptions {
   int clusters = 4;          ///< FT-m7032 has four GPDSP clusters
   core::FtimmOptions gemm;   ///< defaults for submit(in) / run_all
@@ -139,7 +103,10 @@ struct RuntimeOptions {
   bool keep_request_log = true;    ///< record per-request RequestStats
   ResilienceOptions resilience;    ///< self-healing layer (ISSUE 3)
   BatchOptions batching;           ///< coalescing + admission (ISSUE 7)
-  IntegrityPolicy integrity;       ///< per-class ABFT floors (ISSUE 8)
+  /// ABFT floor for every dispatch (docs/robustness.md §ABFT). A request
+  /// runs at the stronger of this and its own FtimmOptions::integrity: it
+  /// may demand more protection, never less.
+  core::IntegrityMode integrity = core::IntegrityMode::Off;
   /// Optional fault injector, installed into every cluster's simulator
   /// (non-owning; must outlive the runtime). nullptr = no injection.
   fault::FaultInjector* fault_injector = nullptr;
@@ -317,17 +284,12 @@ class GemmRuntime {
   void run_cpu_fallback(std::unique_ptr<Request> req, RequestStats& rs);
   void fail(std::unique_ptr<Request> req, std::exception_ptr err,
             RequestStats& rs);
-  /// Marks `rs` as a blown deadline, counts it, and returns the typed
-  /// FaultError(DeadlineExceeded) to fail or throw with.
-  std::exception_ptr miss_deadline(RequestStats& rs, int cluster,
-                                   const char* what);
   void deliver(Request& req, const core::GemmResult& r);
   /// Re-routes a request popped by a quarantined cluster's worker.
   void divert(int cluster, std::unique_ptr<Request> req);
   void probe(int cluster);
   void record_failure(int cluster);
   int pick_retry_target(const Request& req) const;
-  bool wall_deadline_passed(const Request& req) const;
   void snapshot_c(Request& req) const;
   void restore_c(Request& req) const;
   void log_request(const RequestStats& rs);
@@ -346,7 +308,8 @@ class GemmRuntime {
                                              const QosOptions& qos,
                                              const std::vector<int>& targets);
   /// The one request factory: id, host pool, QoS fields, the effective
-  /// ABFT integrity (see IntegrityPolicy), shape class and submit time.
+  /// ABFT integrity (see RuntimeOptions::integrity), shape class and
+  /// submit time.
   std::unique_ptr<Request> make_request(const core::GemmInput& in,
                                         const core::FtimmOptions& opt,
                                         const QosOptions& qos);

@@ -26,7 +26,7 @@ struct RequestStats : core::GemmResult {
   int shards = 0;                ///< > 0 when this request was split
   int attempt = 0;               ///< 0 = first dispatch, n = nth retry
   bool fault = false;            ///< dispatch ended in a FaultError
-  bool deadline_missed = false;  ///< wall or simulated deadline blown
+  bool deadline_missed = false;  ///< simulated-cycle deadline blown
   bool failed = false;           ///< resolved its future with an exception
   double queue_wait_ms = 0;      ///< host wall-clock submit -> dispatch
   /// Host wall-clock dispatch -> done; minus host_wall_us (the engine
@@ -66,7 +66,7 @@ struct RuntimeStats {
   std::uint64_t faults = 0;           ///< dispatches that hit a FaultError
   std::uint64_t retries = 0;          ///< re-dispatches after a fault
   std::uint64_t fallbacks = 0;        ///< requests resolved on the host CPU
-  std::uint64_t deadline_misses = 0;  ///< wall or simulated deadline blown
+  std::uint64_t deadline_misses = 0;  ///< simulated-cycle deadline blown
   std::uint64_t rerouted = 0;         ///< drained off a quarantined cluster
   // Coalescing + admission counters (ISSUE 7). `rejected` submissions are
   // not counted in `submitted`: they never entered the queue.

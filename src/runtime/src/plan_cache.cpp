@@ -3,16 +3,10 @@
 namespace ftm::runtime {
 
 std::optional<core::GemmPlan> PlanCache::find(const PlanKey& key) const {
-  {
-    std::shared_lock lock(mu_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  std::shared_lock lock(mu_);
+  const auto it = plans_.find(key);
+  if (it == plans_.end()) return std::nullopt;
+  return it->second;
 }
 
 void PlanCache::insert(const PlanKey& key, const core::GemmPlan& plan) {

@@ -244,8 +244,7 @@ double ms_between(std::chrono::steady_clock::time_point a,
 
 void validate_resilience(const ResilienceOptions& rz) {
   FTM_EXPECTS(rz.max_retries >= 0);
-  FTM_EXPECTS(rz.backoff_ms >= 0 && rz.backoff_multiplier >= 1.0);
-  FTM_EXPECTS(rz.deadline_ms >= 0);
+  FTM_EXPECTS(rz.backoff_ms >= 0);
   FTM_EXPECTS(rz.quarantine_after >= 0);
   FTM_EXPECTS(rz.probe_interval_ms > 0);
 }
@@ -292,11 +291,7 @@ using Clock = std::chrono::steady_clock;
 void trace_event(const char* name, const char* cat, int cluster,
                  TraceArgs args = {}, Clock::time_point from = {},
                  Clock::time_point to = {}) {
-#if FTM_TRACE_ENABLED
   trace::TraceSession* ts = trace::TraceSession::current();
-#else
-  trace::TraceSession* ts = nullptr;  // instrumentation compiled out
-#endif
   if (ts == nullptr) return;
   const std::uint64_t now = ts->host_now_us();
   trace::Event e;
@@ -487,17 +482,10 @@ std::unique_ptr<Request> GemmRuntime::make_request(
   // are pool-size-independent, see docs/performance.md).
   if (r->opt.host_pool == nullptr) r->opt.host_pool = host_pool_.get();
   // ABFT policy is resolved once, here: every dispatch of this request
-  // (retries, steals, CPU fallback aside) runs the strongest of the
-  // request's, the QoS contract's and the priority class's modes
-  // (IntegrityMode is ordered by strength), with the loosest tolerance so
-  // a caller can widen it for wild data.
-  const core::IntegrityOptions& floor =
-      ro_.integrity.for_priority(qos.priority);
-  r->opt.integrity.mode =
-      std::max({opt.integrity.mode, qos.integrity.mode, floor.mode});
-  r->opt.integrity.tolerance_scale =
-      std::max({opt.integrity.tolerance_scale, qos.integrity.tolerance_scale,
-                floor.tolerance_scale});
+  // (retries, steals, CPU fallback aside) runs the stronger of the
+  // request's mode and the runtime's floor (IntegrityMode is ordered by
+  // strength).
+  r->opt.integrity = std::max(opt.integrity, ro_.integrity);
   r->priority = qos.priority;
   r->arrival_cycle = qos.arrival_cycle;
   r->cls = tune::ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
@@ -797,14 +785,6 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
   return cs.engine->sgemm_planned(req.in, plan, req.opt);
 }
 
-std::exception_ptr GemmRuntime::miss_deadline(RequestStats& rs, int cluster,
-                                              const char* what) {
-  rs.deadline_missed = true;
-  count(&RuntimeStats::deadline_misses);
-  return std::make_exception_ptr(
-      FaultError(FaultKind::DeadlineExceeded, cluster, -1, what));
-}
-
 void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
                           bool stolen) {
   const ResilienceOptions& res = ro_.resilience;
@@ -825,17 +805,6 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     rs.batch_size = req->batch->size;
   }
 
-  // Wall-clock deadline: checked before (re-)execution, never retried —
-  // the caller's time budget is gone no matter which cluster runs it.
-  // Not charged to the cluster's health either: it is not a cluster fault.
-  if (res.enabled && wall_deadline_passed(*req)) {
-    fail(std::move(req),
-         miss_deadline(rs, cluster,
-                       "wall-clock deadline exceeded before dispatch"),
-         rs);
-    queue_.finished(cluster, flops);
-    return;
-  }
   if (res.enabled && req->attempts == 0) snapshot_c(*req);
   ++req->attempts;
 
@@ -852,8 +821,10 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     // how a stalled-but-alive cluster ends up quarantined.
     if (res.enabled && res.deadline_cycles > 0 &&
         result.cycles > res.deadline_cycles) {
-      std::rethrow_exception(miss_deadline(
-          rs, cluster, "simulated-cycle deadline exceeded"));
+      rs.deadline_missed = true;
+      count(&RuntimeStats::deadline_misses);
+      throw FaultError(FaultKind::DeadlineExceeded, cluster, -1,
+                       "simulated-cycle deadline exceeded");
     }
     ok = true;
   } catch (const IntegrityError& e) {
@@ -950,18 +921,9 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
   // the re-dispatch (or CPU fallback) recomputes the damaged block.
   const bool recompute = rs.sdc_detected > 0;
   if (req->attempts <= res.max_retries) {
-    if (wall_deadline_passed(*req)) {
-      fail(std::move(req),
-           miss_deadline(rs, cluster,
-                         "wall-clock deadline exceeded during retries"),
-           rs);
-      return;
-    }
     const int target = pick_retry_target(*req);
     if (target >= 0) {
-      const double delay_ms =
-          res.backoff_ms *
-          std::pow(res.backoff_multiplier, req->attempts - 1);
+      const double delay_ms = std::ldexp(res.backoff_ms, req->attempts - 1);
       // Interruptible: a shutdown cuts the backoff short, and the
       // try_push below then fails over to the terminal paths.
       if (delay_ms > 0) {
@@ -1133,13 +1095,6 @@ int GemmRuntime::pick_retry_target(const Request& req) const {
   return fallback;
 }
 
-bool GemmRuntime::wall_deadline_passed(const Request& req) const {
-  const double budget = ro_.resilience.deadline_ms;
-  if (budget <= 0) return false;
-  return ms_between(req.submit_time, std::chrono::steady_clock::now()) >
-         budget;
-}
-
 void GemmRuntime::snapshot_c(Request& req) const {
   const MatrixView& c = req.in.c;
   if (!req.opt.functional || c.data() == nullptr) return;
@@ -1256,7 +1211,7 @@ core::BatchResult GemmRuntime::run_all(
   futs.reserve(problems.size());
   auto enqueue = [&](const core::GemmInput& in,
                      const core::FtimmOptions& o, int c, int lane_limit) {
-    // run_all has no per-request QoS; the Normal-class integrity floor
+    // run_all has no per-request QoS; the runtime's integrity floor
     // still applies (batch work is not exempt from the ABFT policy).
     auto r = make_request(in, o, QosOptions{});
     r->lane_limit = lane_limit;

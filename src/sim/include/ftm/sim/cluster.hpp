@@ -43,40 +43,34 @@ class Cluster {
   void set_active_cores(int n);
   int active_cores() const { return active_cores_; }
 
-  /// When false, DMA helpers skip the actual byte copies and kernels may
-  /// skip math: timing-only mode for huge parameter sweeps. Defaults true.
+  /// When false, callers skip the actual byte copies and kernels may skip
+  /// math: timing-only mode for huge parameter sweeps. Defaults true.
   void set_functional(bool f) { functional_ = f; }
   bool functional() const { return functional_; }
 
   /// Attach a fault injector (non-owning; nullptr detaches). With one
-  /// attached, dma() consults it on every transfer (injected errors throw
-  /// ftm::FaultError before any bytes move), reset() refuses to start a
+  /// attached, dma_issue() consults it on every transfer (injected errors
+  /// throw ftm::FaultError before any bytes move), reset() refuses to start a
   /// GEMM on a dead cluster, and the injector's per-cluster stall
   /// multiplier is synced onto every core timeline at reset().
   void set_fault_injector(fault::FaultInjector* fi) { fault_ = fi; }
   fault::FaultInjector* fault_injector() const { return fault_; }
 
-  /// Issue a DMA on core `c`'s engine: charges cycles on its timeline and,
-  /// in functional mode, performs the strided copy src -> dst.
-  DmaHandle dma(int c, const DmaRequest& req, const std::uint8_t* src,
-                std::uint8_t* dst);
-
-  /// Timing/fault/trace half of dma() only: charges the transfer on core
-  /// `c`'s timeline without moving any bytes. The host execution engine
-  /// uses this to decouple the (eager, deterministic) timing simulation
-  /// from the (deferrable) functional copy; callers in functional mode
-  /// must perform dma_copy(req, src, dst) themselves. Fault injection
-  /// still throws here, i.e. before any bytes would move.
+  /// Issue a DMA on core `c`'s engine: charges the transfer on its
+  /// timeline (and traces it) without moving any bytes. The host
+  /// execution engine thereby decouples the (eager, deterministic) timing
+  /// simulation from the (deferrable) functional copy; callers in
+  /// functional mode perform dma_copy(req, src, dst) themselves. Fault
+  /// injection throws here, i.e. before any bytes would move.
   DmaHandle dma_issue(int c, const DmaRequest& req);
 
   /// Silent-data-corruption hook for a C-store transfer: with a fault
   /// injector attached, in functional mode, and only for SpmToDdr routes,
   /// rolls the injector's silent_corruption_rate and returns the bit-flip
   /// to apply to the transfer's destination (nullopt otherwise). Callers
-  /// that defer the functional copy (the host execution engine) must
-  /// apply the returned flip *after* their copy lands — the corruption
+  /// must apply the returned flip *after* their copy lands — the corruption
   /// models an ECC escape on the store path, so it damages what DDR ends
-  /// up holding, not the SPM source. dma() applies it itself.
+  /// up holding, not the SPM source.
   std::optional<fault::FaultInjector::Corruption> store_corruption(
       int c, const DmaRequest& req);
 
@@ -95,10 +89,6 @@ class Cluster {
   /// on this cluster. Traced spans report `trace_epoch() + timeline time`
   /// so a session spanning many GEMM calls stays monotonic per cluster.
   std::uint64_t trace_epoch() const { return trace_epoch_; }
-  /// Current trace-clock time of core `c`'s compute lane.
-  std::uint64_t trace_now(int c) const {
-    return trace_epoch_ + timelines_[static_cast<std::size_t>(c)].now();
-  }
 
  private:
   isa::MachineConfig mc_;

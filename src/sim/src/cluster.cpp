@@ -4,7 +4,6 @@
 
 namespace ftm::sim {
 
-#if FTM_TRACE_ENABLED
 namespace {
 
 const char* route_span_name(DmaRoute r) {
@@ -28,7 +27,6 @@ const char* route_counter_name(DmaRoute r) {
 }
 
 }  // namespace
-#endif
 
 Cluster::Cluster(const isa::MachineConfig& mc, int id)
     : mc_(mc), id_(id), gsm_("GSM", mc.gsm_bytes) {
@@ -55,19 +53,6 @@ void Cluster::set_active_cores(int n) {
   active_cores_ = n;
 }
 
-DmaHandle Cluster::dma(int c, const DmaRequest& req, const std::uint8_t* src,
-                       std::uint8_t* dst) {
-  const DmaHandle h = dma_issue(c, req);  // throws before any bytes move
-  if (functional_) {
-    FTM_EXPECTS(src != nullptr && dst != nullptr);
-    dma_copy(req, src, dst);
-    if (const auto corrupt = store_corruption(c, req)) {
-      dma_corrupt(req, dst, corrupt->word, corrupt->xor_mask);
-    }
-  }
-  return h;
-}
-
 std::optional<fault::FaultInjector::Corruption> Cluster::store_corruption(
     int c, const DmaRequest& req) {
   if (fault_ == nullptr || !functional_ || req.route != DmaRoute::SpmToDdr) {
@@ -86,7 +71,6 @@ DmaHandle Cluster::dma_issue(int c, const DmaRequest& req) {
   }
   timelines_[c].add_dma_bytes(req.total_bytes());
   const DmaHandle h = timelines_[c].dma_start(cost);
-#if FTM_TRACE_ENABLED
   if (trace::TraceSession* ts = trace::TraceSession::current()) {
     trace::Event e;
     e.name = route_span_name(req.route);
@@ -103,7 +87,6 @@ DmaHandle Cluster::dma_issue(int c, const DmaRequest& req) {
     ts->count("dma.transfers");
     ts->count(route_counter_name(req.route), req.total_bytes());
   }
-#endif
   return h;
 }
 

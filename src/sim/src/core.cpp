@@ -383,7 +383,6 @@ ExecResult DspCore::run(const isa::Program& prog, std::uint64_t max_cycles) {
     ++pc;
   }
   res.cycles = now;
-#if FTM_TRACE_ENABLED
   // Detailed executions happen during kernel calibration and in debugging
   // tools; the counters make that (one-off) work visible next to the
   // replayed fast-path kernels.
@@ -393,7 +392,6 @@ ExecResult DspCore::run(const isa::Program& prog, std::uint64_t max_cycles) {
     ts->count("core.stall_cycles", res.stall_cycles);
     ts->count("core.vfmac_ops", res.vfmac_ops);
   }
-#endif
   return res;
 }
 

@@ -17,12 +17,9 @@
 //   * the runtime track (TrackKind::Runtime): host microseconds since
 //     session start, for request queued/executing lifecycle spans.
 //
-// Compile-time gating: building with -DFTM_TRACE=OFF (CMake option)
-// defines FTM_TRACE_ENABLED=0, which compiles every instrumentation site
-// out of sim/core/runtime entirely — the hot path is byte-identical to an
-// untraced build. The TraceSession class itself always exists so tools can
-// link unconditionally; with tracing compiled out it simply never receives
-// events. `ftm_bench trace_overhead` measures both configurations.
+// Instrumentation is always compiled in. An idle site costs one
+// TraceSession::current() check; `ftm_bench trace_overhead` measures an
+// untraced run against a traced one.
 #pragma once
 
 #include <chrono>
@@ -35,10 +32,6 @@
 
 #include "ftm/trace/counters.hpp"
 #include "ftm/util/reporter.hpp"
-
-#ifndef FTM_TRACE_ENABLED
-#define FTM_TRACE_ENABLED 1
-#endif
 
 namespace ftm::trace {
 
@@ -155,19 +148,15 @@ class TraceSession {
 
 }  // namespace ftm::trace
 
-// ---- Instrumentation helpers -------------------------------------------
+// ---- Instrumentation helper --------------------------------------------
 //
-// Sites inside sim/core/runtime use these so that -DFTM_TRACE=OFF removes
-// them entirely. Multi-statement sites guard with FTM_TRACE_ENABLED
+// A counter site in one line. Multi-statement sites gate on current()
 // directly:
 //
-//   #if FTM_TRACE_ENABLED
-//     if (ftm::trace::TraceSession* ts = ftm::trace::TraceSession::current()) {
-//       ... build and record events ...
-//     }
-//   #endif
+//   if (ftm::trace::TraceSession* ts = ftm::trace::TraceSession::current()) {
+//     ... build and record events ...
+//   }
 
-#if FTM_TRACE_ENABLED
 #define FTM_TRACE_COUNTER(name, delta)                                  \
   do {                                                                  \
     if (::ftm::trace::TraceSession* ts_ =                               \
@@ -175,6 +164,3 @@ class TraceSession {
       ts_->count((name), (delta));                                      \
     }                                                                   \
   } while (0)
-#else
-#define FTM_TRACE_COUNTER(name, delta) ((void)0)
-#endif

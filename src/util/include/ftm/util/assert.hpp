@@ -17,11 +17,11 @@ class ContractViolation : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] inline void contract_fail(const char* kind, const char* expr,
-                                       const char* file, int line) {
-  throw ContractViolation(std::string(kind) + " failed: " + expr + " at " +
-                          file + ":" + std::to_string(line));
-}
+/// Out of line and cold, so a check on a hot inlined path costs its
+/// compare and branch only; the message building stays in ftm_util.
+[[noreturn, gnu::cold]] void contract_fail(const char* kind,
+                                           const char* expr,
+                                           const char* file, int line);
 }  // namespace detail
 
 }  // namespace ftm

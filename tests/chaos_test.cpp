@@ -66,17 +66,6 @@ ChaosProblem make_chaos_problem(const Shape& s, std::uint64_t seed) {
   return cp;
 }
 
-// Tolerance for a *delivered* C. An ABFT-corrected element is restored to
-// within the row-checksum's rounding noise — absolute error on the order
-// of n * eps32 * |row| (docs/robustness.md derives the bound), far above
-// pure accumulation-order noise but orders of magnitude below the
-// smallest injected flip (relative error >= ~0.5 by the injector's mask
-// construction). 1e-2 splits the two regimes with ample margin on both
-// sides: a correction passes, any silent escape fails loudly.
-double delivered_tolerance(const GemmResult& r, std::size_t k) {
-  return r.sdc_corrected > 0 ? 1e-2 : gemm_tolerance(k);
-}
-
 std::size_t count_mismatches(ConstMatrixView a, ConstMatrixView b) {
   std::size_t bad = 0;
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -98,8 +87,7 @@ RuntimeOptions resilient_options(fault::FaultInjector* fi, int clusters = 4) {
   ro.resilience.probe_interval_ms = 1;
   // Chaos plans inject silent corruption (ISSUE 8); without the ABFT
   // checksum the "correct C" invariant below would be unprovable.
-  ro.integrity =
-      IntegrityPolicy::uniform(core::IntegrityMode::VerifyCorrect);
+  ro.integrity = core::IntegrityMode::VerifyCorrect;
   return ro;
 }
 
@@ -132,7 +120,7 @@ TEST(Chaos, EveryFutureResolvesCorrectlyUnderMixedFaults) {
           EXPECT_GT(r.cycles, 0u) << "request " << i;
         }
         EXPECT_LT(max_rel_diff(cp.p.c.view(), cp.expected.view()),
-                  delivered_tolerance(r, cp.p.k))
+                  gemm_tolerance(cp.p.k))
             << "seed " << seed << " request " << i;
       } catch (const FaultError&) {
         // Typed failure: C must be exactly as submitted.
@@ -190,8 +178,10 @@ TEST(Chaos, SdcSweepZeroSilentEscapes) {
     for (int i = 0; i < kRequests; ++i) {
       ChaosProblem& cp = problems[static_cast<std::size_t>(i)];
       const GemmResult r = futs[static_cast<std::size_t>(i)].get();
+      // An ABFT-corrected element is recomputed, so a delivered C meets
+      // gemm_tolerance(k) whether or not a flip hit it.
       EXPECT_LT(max_rel_diff(cp.p.c.view(), cp.expected.view()),
-                delivered_tolerance(r, cp.p.k))
+                gemm_tolerance(cp.p.k))
           << "round " << round << " request " << i << " corrected "
           << r.sdc_corrected;
     }
@@ -292,11 +282,9 @@ TEST(Chaos, AllClustersDeadFallsBackToCpu) {
     EXPECT_TRUE(any_fallback_logged);
   }
   session.stop();
-#if FTM_TRACE_ENABLED
   EXPECT_EQ(session.counters().value("runtime.fallbacks"), 12u);
   EXPECT_GT(session.counters().value("fault.injected"), 0u);
   EXPECT_GE(session.counters().value("runtime.quarantines"), 1u);
-#endif
 }
 
 // --- stalled cluster: quarantined through simulated-cycle deadlines --------

@@ -120,8 +120,9 @@ TEST(Failure, DmaOutOfBoundsScratchpadAccessRejected) {
   req.src_stride = req.dst_stride = 4096;
   // Destination window extends past AM's end.
   EXPECT_THROW(
-      cl.dma(0, req, host.data(),
-             cl.core(0).am().raw(cl.core(0).am().capacity() - 64, 4096)),
+      sim::dma_copy(req, host.data(),
+                    cl.core(0).am().raw(cl.core(0).am().capacity() - 64,
+                                        4096)),
       ContractViolation);
 }
 

@@ -87,7 +87,7 @@ TEST(Record, EngineStrategies) {
 TEST(Record, AbftVerifyRerate) {
   core::FtimmEngine eng;
   FtimmOptions opt;
-  opt.integrity.mode = core::IntegrityMode::Verify;
+  opt.integrity = core::IntegrityMode::Verify;
   workload::GemmProblem p = workload::make_problem(512, 32, 256, 5);
   const GemmInput in = GemmInput::bound(p.a.view(), p.b.view(), p.c.view());
   const GemmResult r = eng.sgemm(in, opt);

@@ -89,13 +89,13 @@ TEST(Runtime, PlanCacheHitSkipsStrategySelection) {
 
   const GemmInput in = GemmInput::shape_only(4096, 16, 256);
   const GemmResult first = rt.submit(in, opt).get();
-  EXPECT_EQ(rt.plans().misses(), 1u);
-  EXPECT_EQ(rt.plans().hits(), 0u);
+  EXPECT_EQ(rt.stats().plan_misses, 1u);
+  EXPECT_EQ(rt.stats().plan_hits, 0u);
   EXPECT_EQ(rt.plans().size(), 1u);
 
   const GemmResult second = rt.submit(in, opt).get();
-  EXPECT_EQ(rt.plans().misses(), 1u);  // no re-selection on the hit
-  EXPECT_GE(rt.plans().hits(), 1u);
+  EXPECT_EQ(rt.stats().plan_misses, 1u);  // no re-selection on the hit
+  EXPECT_GE(rt.stats().plan_hits, 1u);
   EXPECT_EQ(rt.plans().size(), 1u);
   EXPECT_EQ(first.cycles, second.cycles);
   EXPECT_EQ(first.strategy, second.strategy);
@@ -107,7 +107,7 @@ TEST(Runtime, PlanCacheHitSkipsStrategySelection) {
 
   // A different shape is a different key.
   rt.submit(GemmInput::shape_only(64, 16, 8192), opt).get();
-  EXPECT_EQ(rt.plans().misses(), 2u);
+  EXPECT_EQ(rt.stats().plan_misses, 2u);
   EXPECT_EQ(rt.plans().size(), 2u);
 }
 
@@ -297,7 +297,7 @@ TEST(Runtime, SplitMergeSumsShardChecksums) {
   ro.clusters = 4;
   ro.split_min_rows = 512;
   ro.gemm.wide_problem_flops = 1e6;
-  ro.integrity = IntegrityPolicy::uniform(core::IntegrityMode::Verify);
+  ro.integrity = core::IntegrityMode::Verify;
   GemmRuntime rt(ro);
   workload::GemmProblem p = workload::make_problem(4096, 32, 64, 21);
   const GemmResult r =
@@ -323,7 +323,6 @@ TEST(Runtime, WaitIdleBlocksThroughRetryBackoff) {
   ro.fault_injector = &fi;
   ro.resilience.enabled = true;
   ro.resilience.backoff_ms = 60;
-  ro.resilience.backoff_multiplier = 1.0;
   GemmRuntime rt(ro);
 
   workload::GemmProblem p = workload::make_problem(64, 32, 32, 5);

@@ -308,9 +308,9 @@ TEST(Cluster, DmaFunctionalCopy) {
   req.row_bytes = 32 * 4;
   req.src_stride = req.dst_stride = 32 * 4;
   const Region dst = cl.core(0).am().alloc(32 * 4);
-  const auto h = cl.dma(0, req,
-                        reinterpret_cast<const std::uint8_t*>(host.data()),
-                        cl.core(0).am().raw(dst.offset, 32 * 4));
+  const auto h = cl.dma_issue(0, req);
+  dma_copy(req, reinterpret_cast<const std::uint8_t*>(host.data()),
+           cl.core(0).am().raw(dst.offset, 32 * 4));
   cl.timeline(0).dma_wait(h);
   const float* got = cl.core(0).am().f32(dst.offset, 32);
   for (int i = 0; i < 32; ++i) EXPECT_FLOAT_EQ(got[i], host[i]);
@@ -325,7 +325,7 @@ TEST(Cluster, TimingOnlyModeSkipsCopies) {
   req.rows = 1;
   req.row_bytes = 1024;
   req.src_stride = req.dst_stride = 1024;
-  const auto h = cl.dma(0, req, nullptr, nullptr);
+  const auto h = cl.dma_issue(0, req);
   cl.timeline(0).dma_wait(h);
   EXPECT_GT(cl.timeline(0).now(), 0u);
 }

@@ -319,8 +319,6 @@ TEST(TraceSession, EventArgListIsCapped) {
 
 // ---- Golden traces from instrumented GEMMs ------------------------------
 
-#if FTM_TRACE_ENABLED
-
 TEST(GoldenTrace, IdenticalRunsProduceIdenticalTraces) {
   for (const Strategy s :
        {Strategy::ParallelM, Strategy::ParallelK, Strategy::TGemm}) {
@@ -621,8 +619,7 @@ TEST(RuntimeCounters, StatsAgreeWithTraceTwins) {
     plan.seed = 7;
     runtime::RuntimeOptions ro;
     ro.clusters = 2;
-    ro.integrity =
-        runtime::IntegrityPolicy::uniform(core::IntegrityMode::VerifyCorrect);
+    ro.integrity = core::IntegrityMode::VerifyCorrect;
     ro.resilience.enabled = true;
     ro.resilience.max_retries = 1;
     workload::GemmProblem clean = workload::make_problem(256, 32, 64, 3);
@@ -663,16 +660,3 @@ TEST(RuntimeCounters, StatsAgreeWithTraceTwins) {
   EXPECT_GT(total.sdc_detected, 0u);
   EXPECT_GT(total.checksum_checks, 0u);
 }
-
-#else  // !FTM_TRACE_ENABLED
-
-TEST(GoldenTrace, CompiledOutRecordsNothing) {
-  const TracedRun r = traced_gemm(2048, 32, 1024, Strategy::ParallelM);
-  EXPECT_TRUE(r.events.empty());
-  EXPECT_TRUE(r.counters.empty());
-  // The manual API still works; only the instrumentation sites are gone.
-  const std::string js = trace::chrome_json(TraceSession{});
-  EXPECT_TRUE(JsonChecker(js).valid());
-}
-
-#endif  // FTM_TRACE_ENABLED
