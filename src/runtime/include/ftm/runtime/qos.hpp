@@ -32,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "ftm/core/types.hpp"
 #include "ftm/tune/shape_class.hpp"
 
 namespace ftm::runtime {
