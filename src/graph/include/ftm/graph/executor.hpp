@@ -9,6 +9,15 @@
 // primitives with a deterministic bandwidth-bound cycle model; im2col is
 // the gather loop with the same treatment.
 //
+// Host execution: every host-side pass — the im2col gather, the
+// elementwise nodes and the zeroing of each GEMM output — runs as
+// contiguous row chunks, one per thread of the same TaskPool the GEMM
+// nodes use (FtimmOptions::host_pool if set, else the runtime's), and
+// inline when there is no pool or the pass writes under 256 KiB. Each
+// row is computed exactly as in a serial pass, so C bits, simulated
+// cycles, node order and trace spans do not depend on the pool size.
+// NodeStats::host_us times every node, with or without a trace session.
+//
 // Accounting: every node's DDR traffic is taken from the engine (GEMM) or
 // the elementwise byte model, then reduced by the bytes the memory plan
 // keeps scratchpad-resident — the executor reports both the planned and
@@ -63,6 +72,9 @@ struct NodeStats {
   std::uint64_t ddr_bytes = 0;           ///< after residency
   std::uint64_t ddr_bytes_unplanned = 0; ///< all-DDR model of the same node
   core::Strategy strategy = core::Strategy::Auto;  ///< GEMM nodes only
+  /// Host wall time of the node (steady_clock): the host pass, or the
+  /// GEMM output zeroing plus submit-to-future for a GEMM node.
+  double host_us = 0;
 };
 
 struct GraphResult {

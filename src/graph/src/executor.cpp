@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 
 #include "ftm/kernelgen/hostsimd.hpp"
 #include "ftm/trace/trace.hpp"
@@ -55,35 +56,73 @@ TensorId alias_root(const MemoryPlan& mp, TensorId t) {
   return t;
 }
 
-void im2col_gather(const ConvParams& p, ConstMatrixView image,
-                   MatrixView out) {
-  // Image is the NCHW volume flattened to (batch*in_ch*height) x width;
-  // out row = (n, oy, ox), col = (ch, ky, kx) — the same layout as
-  // workload::make_im2col_gemm, so graph results verify against it.
-  auto in_at = [&](std::size_t n, std::size_t ch, long y, long x) -> float {
-    if (y < 0 || x < 0 || y >= static_cast<long>(p.height) ||
-        x >= static_cast<long>(p.width)) {
-      return 0.0f;  // zero padding
-    }
-    return image((n * p.in_ch + ch) * p.height +
-                     static_cast<std::size_t>(y),
-                 static_cast<std::size_t>(x));
-  };
-  for (std::size_t n = 0; n < p.batch; ++n) {
-    for (std::size_t oy = 0; oy < p.out_h(); ++oy) {
-      for (std::size_t ox = 0; ox < p.out_w(); ++ox) {
-        const std::size_t row = (n * p.out_h() + oy) * p.out_w() + ox;
-        std::size_t col = 0;
-        for (std::size_t ch = 0; ch < p.in_ch; ++ch) {
-          for (std::size_t ky = 0; ky < p.kh; ++ky) {
-            for (std::size_t kx = 0; kx < p.kw; ++kx, ++col) {
-              out(row, col) =
-                  in_at(n, ch,
-                        static_cast<long>(oy * p.stride + ky) -
-                            static_cast<long>(p.pad),
-                        static_cast<long>(ox * p.stride + kx) -
-                            static_cast<long>(p.pad));
-            }
+/// Output bytes below which a host pass runs inline on the calling thread:
+/// under this a batch hand-off to the pool costs more than it saves.
+constexpr std::size_t kChunkFloorBytes = 256 * 1024;
+
+/// Runs body(r0, r1) over contiguous row ranges covering [0, rows), one per
+/// pool thread, and returns when all are done; inline when there is no pool
+/// or the pass writes fewer than kChunkFloorBytes. `body` must not throw
+/// (TaskPool::run_batch terminates on an exception), so callers resolve
+/// every view and check every bound before calling.
+template <typename Body>
+void for_row_chunks(TaskPool* pool, MatrixView out, const Body& body) {
+  const std::size_t rows = out.rows();
+  const std::size_t bytes = rows * out.cols() * sizeof(float);
+  const std::size_t chunks =
+      pool == nullptr || bytes < kChunkFloorBytes
+          ? 1
+          : std::min<std::size_t>(pool->parallelism(), rows);
+  if (chunks <= 1) {
+    body(std::size_t{0}, rows);
+    return;
+  }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(chunks);
+  for (std::size_t i = 0; i < chunks; ++i) {
+    const std::size_t r0 = rows * i / chunks, r1 = rows * (i + 1) / chunks;
+    tasks.emplace_back([&body, r0, r1] { body(r0, r1); });
+  }
+  pool->run_batch(std::move(tasks));
+}
+
+/// Gathers patch rows [r0, r1) of the im2col matrix. Image is the NCHW
+/// volume flattened to (batch*in_ch*height) x width; out row = (n, oy, ox),
+/// col = (ch, ky, kx), the layout of workload::make_im2col_gemm, so graph
+/// results verify against it. A pure copy with zero padding, so any row
+/// split gives the same bits.
+void im2col_gather(const ConvParams& p, ConstMatrixView image, MatrixView out,
+                   std::size_t r0, std::size_t r1) {
+  const std::size_t oh = p.out_h(), ow = p.out_w();
+  const long height = static_cast<long>(p.height);
+  const long width = static_cast<long>(p.width);
+  const long kw = static_cast<long>(p.kw);
+  for (std::size_t row = r0; row < r1; ++row) {
+    const std::size_t n = row / (oh * ow);
+    const std::size_t oy = row / ow % oh;
+    const long x0 = static_cast<long>(row % ow * p.stride) -
+                    static_cast<long>(p.pad);
+    // Only patches that overhang the left or right edge need the per-x
+    // padding test; every other (ch, ky) line is kw contiguous floats.
+    const bool x_inside = x0 >= 0 && x0 + kw <= width;
+    float* dst = out.data() + row * out.ld();
+    for (std::size_t ch = 0; ch < p.in_ch; ++ch) {
+      for (std::size_t ky = 0; ky < p.kh; ++ky, dst += kw) {
+        const long y = static_cast<long>(oy * p.stride + ky) -
+                       static_cast<long>(p.pad);
+        if (y < 0 || y >= height) {
+          std::fill(dst, dst + kw, 0.0f);
+          continue;
+        }
+        const std::size_t image_row =
+            (n * p.in_ch + ch) * p.height + static_cast<std::size_t>(y);
+        const float* src = image.data() + image_row * image.ld();
+        if (x_inside) {
+          for (long kx = 0; kx < kw; ++kx) dst[kx] = src[x0 + kx];
+        } else {
+          for (long kx = 0; kx < kw; ++kx) {
+            const long x = x0 + kx;
+            dst[kx] = x >= 0 && x < width ? src[x] : 0.0f;
           }
         }
       }
@@ -121,6 +160,10 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
   plan_ = plan_memory(g, rt_.machine(), opt_.planner);
   const isa::MachineConfig& mc = rt_.machine();
   const bool fn = opt_.gemm.functional;
+  // Host passes use the pool the GEMM nodes run on: the caller's, else the
+  // runtime's (the rule GemmRuntime applies to every request).
+  TaskPool* const pool =
+      opt_.gemm.host_pool != nullptr ? opt_.gemm.host_pool : rt_.host_pool();
 
   // --- Resolve storage: caller views for externals/outputs, owned
   // buffers for intermediates (alias roots own, aliases share). In
@@ -185,6 +228,7 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
     const Node& n = g.node(nid);
     const Tensor& tout = g.tensor(n.output);
     const std::uint64_t node_t0 = ts != nullptr ? ts->host_now_us() : 0;
+    const auto node_start = std::chrono::steady_clock::now();
     NodeStats st;
     st.node = nid;
     st.kind = n.kind;
@@ -196,7 +240,12 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
       core::GemmInput in;
       if (fn) {
         const MatrixView out = views[static_cast<std::size_t>(n.output)];
-        out.fill(0.0f);  // engine computes C += A*B; node semantics C = A*B
+        // The engine computes C += A*B; node semantics are C = A*B.
+        for_row_chunks(pool, out, [out](std::size_t r0, std::size_t r1) {
+          for (std::size_t r = r0; r < r1; ++r) {
+            std::fill_n(out.data() + r * out.ld(), out.cols(), 0.0f);
+          }
+        });
         in = core::GemmInput::bound(cview(n.inputs[0]), cview(n.inputs[1]),
                                     out);
       } else {
@@ -239,49 +288,50 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
 
       if (fn) {
         const MatrixView out = views[static_cast<std::size_t>(n.output)];
-        switch (n.kind) {
-          case OpKind::Add: {
-            const ConstMatrixView a = cview(n.inputs[0]);
-            const ConstMatrixView b = cview(n.inputs[1]);
-            for (std::size_t r = 0; r < out.rows(); ++r) {
-              if (out.row(r) != a.row(r)) {
-                std::copy(a.row(r), a.row(r) + a.cols(), out.row(r));
-              }
-              kernelgen::hostsimd::add_f32(out.row(r), b.row(r), out.cols());
-            }
-            break;
+        const ConstMatrixView x = cview(n.inputs[0]);
+        if (n.kind == OpKind::Im2col) {
+          const ConvParams& p = n.conv;
+          FTM_EXPECTS(x.rows() == p.batch * p.in_ch * p.height &&
+                      x.cols() == p.width);
+          FTM_EXPECTS(out.rows() == p.gemm_m() && out.cols() == p.gemm_k());
+          const auto gather = [&p, x, out](std::size_t r0, std::size_t r1) {
+            im2col_gather(p, x, out, r0, r1);
+          };
+          for_row_chunks(pool, out, gather);
+        } else {
+          // Elementwise: out = x (no copy when the plan put both in one
+          // buffer), then ReLU in place, or add the second operand — the
+          // matching row for Add, BiasAdd's one bias row for every row.
+          FTM_EXPECTS(x.rows() == out.rows() && x.cols() == out.cols());
+          const OpKind kind = n.kind;
+          ConstMatrixView y;
+          std::size_t y_step = 0;
+          if (kind != OpKind::Relu) {
+            y = cview(n.inputs[1]);
+            y_step = kind == OpKind::Add ? y.ld() : 0;
+            FTM_EXPECTS(y.cols() == out.cols() &&
+                        y.rows() == (kind == OpKind::Add ? out.rows() : 1));
           }
-          case OpKind::Relu: {
-            const ConstMatrixView x = cview(n.inputs[0]);
-            for (std::size_t r = 0; r < out.rows(); ++r) {
-              if (out.row(r) != x.row(r)) {
-                std::copy(x.row(r), x.row(r) + x.cols(), out.row(r));
+          for_row_chunks(pool, out, [=](std::size_t r0, std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
+              float* o = out.data() + r * out.ld();
+              const float* xr = x.data() + r * x.ld();
+              if (o != xr) std::copy(xr, xr + out.cols(), o);
+              if (kind == OpKind::Relu) {
+                kernelgen::hostsimd::relu_f32(o, out.cols());
+              } else {
+                kernelgen::hostsimd::add_f32(o, y.data() + r * y_step,
+                                             out.cols());
               }
-              kernelgen::hostsimd::relu_f32(out.row(r), out.cols());
             }
-            break;
-          }
-          case OpKind::BiasAdd: {
-            const ConstMatrixView x = cview(n.inputs[0]);
-            const ConstMatrixView bias = cview(n.inputs[1]);
-            for (std::size_t r = 0; r < out.rows(); ++r) {
-              if (out.row(r) != x.row(r)) {
-                std::copy(x.row(r), x.row(r) + x.cols(), out.row(r));
-              }
-              kernelgen::hostsimd::add_f32(out.row(r), bias.row(0),
-                                           out.cols());
-            }
-            break;
-          }
-          case OpKind::Im2col:
-            im2col_gather(n.conv, cview(n.inputs[0]), out);
-            break;
-          case OpKind::Gemm:
-            break;  // handled above
+          });
         }
       }
     }
 
+    st.host_us = std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - node_start)
+                     .count();
     gr.cycles += st.cycles;
     gr.ddr_bytes += st.ddr_bytes;
     gr.ddr_bytes_unplanned += st.ddr_bytes_unplanned;

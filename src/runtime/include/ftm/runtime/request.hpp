@@ -94,6 +94,8 @@ struct Request {
   // Resilience bookkeeping (ISSUE 3).
   int attempts = 0;          ///< dispatches so far (1 = first execution)
   std::vector<int> tried;    ///< clusters that faulted on this request
+  /// The pending re-dispatch re-executes a block ABFT found damaged.
+  bool recompute = false;
   /// Pre-submit contents of the C view (row-major), captured when
   /// resilience is on and the request is functional: C += A*B is not
   /// idempotent, so a retry/fallback must restore C before re-running,

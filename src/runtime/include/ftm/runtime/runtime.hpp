@@ -210,6 +210,9 @@ class GemmRuntime {
   int clusters() const { return static_cast<int>(clusters_.size()); }
   const isa::MachineConfig& machine() const { return mc_; }
   const PlanCache& plans() const { return plans_; }
+  /// The shared host TaskPool (see RuntimeOptions::host_threads); nullptr
+  /// when host_threads == 1.
+  TaskPool* host_pool() const { return host_pool_.get(); }
   core::FtimmEngine& engine(int cluster);
 
   /// Circuit-breaker state of one cluster (true = quarantined).

@@ -806,6 +806,14 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
   }
 
   if (res.enabled && req->attempts == 0) snapshot_c(*req);
+  // A re-dispatch is counted when it starts, on the thread that delivers
+  // it, so a caller woken by the future sees it in stats() (as deliver()
+  // counts completed first). Once pushed, a retry can resolve the future
+  // before the pushing thread runs again.
+  if (req->attempts > 0) {
+    count(&RuntimeStats::retries);
+    if (req->recompute) count(&RuntimeStats::recomputed_shards);
+  }
   ++req->attempts;
 
   ClusterState& cs = clusters_[static_cast<std::size_t>(cluster)];
@@ -830,7 +838,7 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
   } catch (const IntegrityError& e) {
     // Unrepairable checksum damage: a transient data fault. The engine
     // threw before it could report (or trace) the detections, so they are
-    // counted here; handle_fault counts the recompute when it re-dispatches.
+    // counted here; the re-dispatch counts the recompute when it starts.
     rs.sdc_detected = static_cast<std::uint64_t>(e.detected());
     count(&RuntimeStats::sdc_detected, rs.sdc_detected);
     err = std::current_exception();
@@ -937,9 +945,8 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
       // cluster-independent.
       req->reuse_panel_bytes = 0;
       req->bound_cluster = target;
+      req->recompute = recompute;
       if (queue_.try_push(target, req)) {
-        count(&RuntimeStats::retries);
-        if (recompute) count(&RuntimeStats::recomputed_shards);
         log_request(rs);  // the faulted attempt; the retry logs its own row
         return;
       }

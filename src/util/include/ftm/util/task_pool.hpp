@@ -6,7 +6,8 @@
 // batch has finished; batches from different clients overlap freely on
 // the same workers. The host CPU GEMM (cpu::cpu_gemm, the runtime's CPU
 // fallback and the Fig. 7 baseline) hands over one row chunk per thread
-// the same way.
+// the same way, and so does the graph executor for its host-side passes
+// (im2col, elementwise nodes, GEMM output zeroing).
 //
 // The calling thread always participates: a pool constructed with
 // parallelism P spawns P-1 workers, so TaskPool(1) spawns no threads and

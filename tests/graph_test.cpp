@@ -420,6 +420,180 @@ TEST(GraphExecutorTest, Conv2dMatchesReferenceGemm) {
   EXPECT_LT(max_rel_diff(outm.view(), expect.view()), gemm_tolerance(p.k));
 }
 
+namespace {
+
+/// Per-element im2col with the padding test on every element: the
+/// reference the executor's row-chunked gather must match bit for bit.
+HostMatrix reference_im2col(const graph::ConvParams& p,
+                            const HostMatrix& image) {
+  HostMatrix out(p.gemm_m(), p.gemm_k());
+  for (std::size_t row = 0; row < out.rows(); ++row) {
+    const std::size_t n = row / (p.out_h() * p.out_w());
+    const std::size_t oy = row / p.out_w() % p.out_h();
+    const std::size_t ox = row % p.out_w();
+    std::size_t col = 0;
+    for (std::size_t ch = 0; ch < p.in_ch; ++ch) {
+      for (std::size_t ky = 0; ky < p.kh; ++ky) {
+        for (std::size_t kx = 0; kx < p.kw; ++kx, ++col) {
+          const long y = static_cast<long>(oy * p.stride + ky) -
+                         static_cast<long>(p.pad);
+          const long x = static_cast<long>(ox * p.stride + kx) -
+                         static_cast<long>(p.pad);
+          const bool in = y >= 0 && x >= 0 &&
+                          y < static_cast<long>(p.height) &&
+                          x < static_cast<long>(p.width);
+          out.at(row, col) =
+              in ? image.at((n * p.in_ch + ch) * p.height +
+                                static_cast<std::size_t>(y),
+                            static_cast<std::size_t>(x))
+                 : 0.0f;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+runtime::RuntimeOptions pooled_runtime(int threads) {
+  runtime::RuntimeOptions ro = quiet_runtime();
+  ro.host_threads = threads;
+  return ro;
+}
+
+}  // namespace
+
+TEST(GraphExecutorTest, Im2colIsExactForEveryConvGeometry) {
+  // The gather is a pure copy, so every geometry must reproduce the
+  // per-element reference exactly, inline (1 thread) and row-chunked
+  // across the pool (4 threads). The odd width puts patches on both
+  // edges; 16 channels of 24x23 push the larger cases past the 256 KiB
+  // chunking floor. The output is NaN-filled first, so an element no
+  // chunk writes fails the memcmp.
+  const std::pair<std::size_t, std::size_t> kKernels[] = {
+      {3, 3}, {1, 1}, {5, 3}};
+  std::size_t above_floor = 0;
+  for (const int threads : {1, 4}) {
+    runtime::GemmRuntime rt(pooled_runtime(threads));
+    GraphExecutor ex(rt);
+    for (const std::size_t stride : {1u, 2u}) {
+      for (const std::size_t pad : {0u, 1u, 2u}) {
+        for (const auto& [kh, kw] : kKernels) {
+          for (const std::size_t batch : {1u, 2u}) {
+            graph::ConvParams p;
+            p.batch = batch;
+            p.in_ch = 16;
+            p.height = 24;
+            p.width = 23;
+            p.kh = kh;
+            p.kw = kw;
+            p.stride = stride;
+            p.pad = pad;
+            Prng rng(stride * 1000 + pad * 100 + kh * 10 + batch);
+            HostMatrix image(batch * p.in_ch * p.height, p.width);
+            image.fill_random(rng);
+            HostMatrix out(p.gemm_m(), p.gemm_k());
+            out.fill(std::numeric_limits<float>::quiet_NaN());
+
+            Graph g;
+            const TensorId img = g.input("img", image.rows(), image.cols());
+            const TensorId patches = g.im2col(img, p);
+            g.mark_output(patches);
+            Bindings bind;
+            bind.bind_input(img, image.view()).bind_output(patches, out.view());
+            ex.run(g, bind);
+
+            const HostMatrix expect = reference_im2col(p, image);
+            EXPECT_EQ(std::memcmp(out.data(), expect.data(),
+                                  out.size() * sizeof(float)),
+                      0)
+                << "threads " << threads << " stride " << stride << " pad "
+                << pad << " kernel " << kh << "x" << kw << " batch " << batch;
+            if (out.size() * sizeof(float) > 256 * 1024) ++above_floor;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(above_floor, 0u);
+}
+
+TEST(GraphExecutorTest, ElementwiseChainIsBitIdenticalAcrossPoolSizes) {
+  // Add -> BiasAdd -> ReLU over 1000x96 floats (375 KiB per tensor, above
+  // the chunking floor): the pooled row chunks must give the bits of the
+  // inline pass and of a scalar reference.
+  const std::size_t m = 1000, n = 96;
+  Prng rng(5);
+  HostMatrix xm(m, n), ym(m, n), biasm(1, n);
+  xm.fill_random(rng);
+  ym.fill_random(rng);
+  biasm.fill_random(rng);
+  Graph g;
+  const TensorId x = g.input("x", m, n);
+  const TensorId y = g.input("y", m, n);
+  const TensorId bias = g.input("bias", 1, n);
+  const TensorId out = g.relu(g.bias_add(g.add(x, y), bias));
+  g.mark_output(out);
+
+  std::vector<HostMatrix> outs;
+  for (const int threads : {1, 4}) {
+    outs.emplace_back(m, n);
+    outs.back().fill(std::numeric_limits<float>::quiet_NaN());
+    Bindings bind;
+    bind.bind_input(x, xm.view())
+        .bind_input(y, ym.view())
+        .bind_input(bias, biasm.view());
+    bind.bind_output(out, outs.back().view());
+    runtime::GemmRuntime rt(pooled_runtime(threads));
+    GraphExecutor(rt).run(g, bind);
+  }
+  HostMatrix expect(m, n);
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const float v = xm.at(r, c) + ym.at(r, c) + biasm.at(0, c);
+      expect.at(r, c) = v > 0.0f ? v : 0.0f;
+    }
+  }
+  for (const HostMatrix& o : outs) {
+    EXPECT_EQ(std::memcmp(o.data(), expect.data(), m * n * sizeof(float)), 0);
+  }
+}
+
+TEST(GraphExecutorTest, NodeHostTimeIsMeasuredWithoutATrace) {
+  // NodeStats::host_us needs no trace session: every node is timed, the
+  // im2col gather measurably, and the nodes fit inside the run's wall time.
+  graph::ConvParams p;
+  p.in_ch = 8;
+  p.height = p.width = 16;
+  Prng rng(3);
+  HostMatrix image(p.in_ch * p.height, p.width), filters(p.gemm_k(), 16),
+      outm(p.gemm_m(), 16);
+  image.fill_random(rng);
+  filters.fill_random(rng);
+  Graph g;
+  const TensorId img = g.input("img", image.rows(), image.cols());
+  const TensorId filt = g.input("filters", filters.rows(), filters.cols());
+  const TensorId out = graph::conv2d(g, img, filt, p, "conv");
+  g.mark_output(out);
+  Bindings bind;
+  bind.bind_input(img, image.view()).bind_input(filt, filters.view());
+  bind.bind_output(out, outm.view());
+
+  ASSERT_EQ(trace::TraceSession::current(), nullptr);
+  runtime::GemmRuntime rt(quiet_runtime());
+  const GraphResult gr = GraphExecutor(rt).run(g, bind);
+  double sum_us = 0;
+  std::size_t im2col_nodes = 0;
+  for (const graph::NodeStats& ns : gr.node_stats) {
+    sum_us += ns.host_us;
+    if (ns.kind == graph::OpKind::Im2col) {
+      ++im2col_nodes;
+      EXPECT_GT(ns.host_us, 0.0);
+    }
+  }
+  EXPECT_EQ(im2col_nodes, 1u);
+  EXPECT_LE(sum_us, gr.host_wall_us);
+}
+
 TEST(GraphExecutorTest, TimingOnlyModeNeedsNoBindings) {
   Mlp3 mlp;
   runtime::GemmRuntime rt(quiet_runtime());
