@@ -77,11 +77,15 @@ void for_row_chunks(TaskPool* pool, MatrixView out, const Body& body) {
     body(std::size_t{0}, rows);
     return;
   }
+  // 16-byte task closures fit std::function's inline storage, so a batch
+  // allocates no closure storage.
+  const auto chunk = [&body, rows, chunks](std::size_t i) {
+    body(rows * i / chunks, rows * (i + 1) / chunks);
+  };
   std::vector<std::function<void()>> tasks;
   tasks.reserve(chunks);
   for (std::size_t i = 0; i < chunks; ++i) {
-    const std::size_t r0 = rows * i / chunks, r1 = rows * (i + 1) / chunks;
-    tasks.emplace_back([&body, r0, r1] { body(r0, r1); });
+    tasks.emplace_back([&chunk, i] { chunk(i); });
   }
   pool->run_batch(std::move(tasks));
 }

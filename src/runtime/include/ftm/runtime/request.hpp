@@ -92,10 +92,10 @@ struct Request {
   /// layer keeps its own clock domain) and retries re-enter the tier.
   bool node_tier = false;
   // Resilience bookkeeping (ISSUE 3).
-  int attempts = 0;          ///< dispatches so far (1 = first execution)
-  std::vector<int> tried;    ///< clusters that faulted on this request
   /// The pending re-dispatch re-executes a block ABFT found damaged.
   bool recompute = false;
+  int attempts = 0;          ///< dispatches so far (1 = first execution)
+  std::vector<int> tried;    ///< clusters that faulted on this request
   /// Pre-submit contents of the C view (row-major), captured when
   /// resilience is on and the request is functional: C += A*B is not
   /// idempotent, so a retry/fallback must restore C before re-running,
