@@ -207,6 +207,94 @@ TEST(Collectives, StragglerDelaysGroup) {
   EXPECT_GT(r.finish, 500000u);  // the late member gates completion
 }
 
+TEST(Collectives, CostMatchesPinnedConstants) {
+  // Each case runs, on one interconnect: a 404-byte broadcast from rank 0,
+  // a 40004-byte broadcast from rank P-1, then a 40004-byte allreduce.
+  // 40004 bytes is 10001 floats, which no P > 1 here divides, so every
+  // ring step carries remainder chunks. The constants pin the cost model
+  // bit for bit: results and the final per-node clocks.
+  struct Cost {
+    std::uint64_t finish, link_bytes, steps;
+  };
+  struct Case {
+    nodes::Topology topo;
+    int nodes;
+    std::vector<int> ranks;  // the group, in ring order
+    std::vector<std::uint64_t> start;
+    Cost bcast_first, bcast_last, allreduce;
+    std::vector<std::uint64_t> end;
+  };
+  using nodes::Topology;
+  const std::vector<std::uint64_t> z7(7, 0);
+  // One case per block, its three costs on one row.
+  // clang-format off
+  const std::vector<Case> cases = {
+      {Topology::Ring, 1, {0}, {0}, {0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {0}},
+      {Topology::Ring, 2, {0, 1}, {0, 0},
+       {1826, 404, 1}, {6127, 40004, 1}, {12229, 80008, 2},
+       {12229, 12228}},
+      {Topology::Ring, 3, {0, 1, 2}, {0, 0, 0},
+       {3652, 808, 2}, {12254, 80008, 2}, {22790, 160016, 4},
+       {22790, 22790, 22790}},
+      {Topology::Ring, 5, {0, 1, 2, 3, 4}, {0, 0, 0, 0, 0},
+       {7304, 1616, 4}, {24508, 160016, 4}, {42914, 320032, 8},
+       {42911, 42912, 42913, 42914, 42910}},
+      {Topology::Ring, 7, {0, 1, 2, 3, 4, 5, 6}, z7,
+       {10956, 2424, 6}, {36762, 240024, 6}, {62658, 480048, 12},
+       {62658, 62658, 62658, 62656, 62657, 62658, 62658}},
+      {Topology::FullMesh, 1, {0}, {0}, {0, 0, 0}, {0, 0, 0}, {0, 0, 0},
+       {0}},
+      {Topology::FullMesh, 2, {0, 1}, {0, 0},
+       {1826, 404, 1}, {6127, 40004, 1}, {12229, 80008, 2},
+       {12229, 12228}},
+      {Topology::FullMesh, 3, {0, 1, 2}, {0, 0, 0},
+       {3652, 808, 2}, {12254, 80008, 2}, {22790, 160016, 4},
+       {22790, 22790, 22790}},
+      {Topology::FullMesh, 5, {0, 1, 2, 3, 4}, {0, 0, 0, 0, 0},
+       {7304, 1616, 4}, {24508, 160016, 4}, {42914, 320032, 8},
+       {42911, 42912, 42913, 42914, 42910}},
+      {Topology::FullMesh, 7, {0, 1, 2, 3, 4, 5, 6}, z7,
+       {10956, 2424, 6}, {36762, 240024, 6}, {62658, 480048, 12},
+       {62658, 62658, 62658, 62656, 62657, 62658, 62658}},
+      // A sparse group: multi-hop routes on the ring, one hop on the mesh.
+      {Topology::Ring, 7, {5, 1, 3}, z7,
+       {9130, 808, 2}, {30635, 80008, 2}, {62243, 160016, 4},
+       {0, 62243, 0, 59609, 0, 56975, 0}},
+      {Topology::FullMesh, 7, {5, 1, 3}, z7,
+       {3652, 808, 2}, {12254, 80008, 2}, {22790, 160016, 4},
+       {0, 22790, 0, 22790, 0, 22790, 0}},
+      // Stragglers: a late member gates every step it takes part in.
+      {Topology::Ring, 3, {0, 1, 2}, {0, 500000, 0},
+       {503652, 808, 2}, {512254, 80008, 2}, {522790, 160016, 4},
+       {522790, 522790, 522790}},
+      {Topology::FullMesh, 5, {0, 1, 2, 3, 4}, {0, 0, 0, 0, 300000},
+       {301826, 1616, 4}, {319030, 160016, 4}, {337436, 320032, 8},
+       {337433, 337434, 337435, 337436, 337432}},
+  };
+  // clang-format on
+  const auto expect_cost = [](const nodes::CollectiveResult& got,
+                              const Cost& want, const char* what,
+                              std::size_t i) {
+    EXPECT_EQ(got.finish, want.finish) << what << " case " << i;
+    EXPECT_EQ(got.link_bytes, want.link_bytes) << what << " case " << i;
+    EXPECT_EQ(got.steps, want.steps) << what << " case " << i;
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    nodes::Interconnect net(c.nodes, c.topo, {});
+    std::vector<std::uint64_t> clocks = c.start;
+    nodes::Group g;
+    g.ranks = c.ranks;
+    expect_cost(nodes::ring_broadcast(net, clocks, g, 0, 404),
+                c.bcast_first, "broadcast root 0", i);
+    expect_cost(nodes::ring_broadcast(net, clocks, g, g.size() - 1, 40004),
+                c.bcast_last, "broadcast root P-1", i);
+    expect_cost(nodes::ring_allreduce(net, clocks, g, 40004), c.allreduce,
+                "allreduce", i);
+    EXPECT_EQ(clocks, c.end) << "case " << i;
+  }
+}
+
 // ---- sharder ------------------------------------------------------------
 
 namespace {
