@@ -1,5 +1,5 @@
 // The layers above one GEMM: the operator-graph executor, the multi-node
-// tier, the mixed-precision tier with Strassen, and the CI perf gate that
+// tier, the mixed-precision tier, and the CI perf gate that
 // pins all of their simulated cycles (docs/tuning.md).
 #include <algorithm>
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ftm/core/dgemm.hpp"
-#include "ftm/core/strassen.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/graph/executor.hpp"
 #include "ftm/graph/graph.hpp"
@@ -332,13 +331,10 @@ void suite_nodes(Ctx& ctx) {
 }
 
 // Mixed precision (docs/precision.md): the shape taxonomy across FP32 /
-// FP16 / BF16 against the dtype-aware roofline, then the Strassen
-// crossover (square dims vs the best blocked variant; --full adds 32768,
-// --smoke keeps only 16384). Checked: on compute-bound type-III shapes
-// the half tiers run >= 1.8x the FP32 FLOP rate (the VFMULAH32 2-way dot
-// doubles the ceiling; the margin below 2.0x absorbs the unchanged
-// fill/drain overhead), and forced Strassen beats the best blocked
-// variant at 16384^3 with the default cutoff.
+// FP16 / BF16 against the dtype-aware roofline. Checked: on
+// compute-bound type-III shapes the half tiers run >= 1.8x the FP32 FLOP
+// rate (the VFMULAH32 2-way dot doubles the ceiling; the margin below
+// 2.0x absorbs the unchanged fill/drain overhead).
 void suite_mixed(Ctx& ctx) {
   const auto& mc = isa::default_machine();
   core::FtimmEngine engine(mc);
@@ -390,37 +386,12 @@ void suite_mixed(Ctx& ctx) {
           });
   }
   t.print("mixed-precision sweep (timing-only, dtype-aware roofline)");
-
-  std::vector<std::size_t> dims = {16384};
-  if (!ctx.smoke) dims = {4096, 8192, 16384};
-  if (ctx.full && !ctx.smoke) dims.push_back(32768);
-  Table st({"d", "blocked cycles", "strassen cycles", "levels", "speedup"});
-  for (const std::size_t d : dims) {
-    const auto in = GemmInput::shape_only(d, d, d);
-    const auto rb = engine.sgemm_autotuned(in, base);
-    FtimmOptions so = base;
-    so.force = Strategy::Strassen;
-    const auto rs = engine.sgemm(in, so);
-    st.begin_row()
-        .cell(d)
-        .cell(static_cast<std::size_t>(rb.cycles))
-        .cell(static_cast<std::size_t>(rs.cycles))
-        .cell(static_cast<long long>(rs.strassen_levels))
-        .cell(static_cast<double>(rb.cycles) / static_cast<double>(rs.cycles),
-              3);
-    ctx.check(d < 16384 || rs.cycles < rb.cycles,
-              "mixed: strassen (%llu) did not beat blocked (%llu) at d=%zu",
-              static_cast<unsigned long long>(rs.cycles),
-              static_cast<unsigned long long>(rb.cycles), d);
-  }
-  st.print("Strassen vs best blocked (default cutoff " +
-           std::to_string(core::kStrassenDefaultCutoff) + ")");
   ctx.csv(t, "mixed_precision.csv");
 }
 
 // CI perf gate (docs/tuning.md): a fixed matrix of regular + irregular
 // shapes through every execution variant (TGEMM, forced M/K, the analytic
-// default plan, the auto-tuned plan), the half tier, Strassen, FP64
+// default plan, the auto-tuned plan), the half tier, FP64
 // dgemm and three graph chains, recorded for --json. Two layers of
 // checking: this suite's internal gate (below), and tools/bench_compare.py
 // diffing the JSON against bench/baseline.json in CI. The simulator is
@@ -573,18 +544,7 @@ void suite_gate(Ctx& ctx) {
               "gate: f16/bf16 cycle models diverged on %s (same ISA ops)",
               name(s).c_str());
   }
-  // Strassen pins the one-level recursion past the measured crossover.
-  FtimmOptions sopt = timing();
-  sopt.force = Strategy::Strassen;
-  const core::GemmResult strassen =
-      eng.sgemm(GemmInput::shape_only(16384, 16384, 16384), sopt);
-  ctx.record("16384x16384x16384", "strassen", strassen.cycles,
-             strassen.host_wall_us);
-  mt.print("perf gate: mixed-precision tier (strassen@16384^3: " +
-           std::to_string(strassen.cycles) + " cycles, " +
-           std::to_string(strassen.strassen_levels) + " level)");
-  ctx.check(strassen.strassen_levels >= 1,
-            "gate: strassen did not recurse at 16384");
+  mt.print("perf gate: mixed-precision tier");
 
   // FP64 Algorithm 4 on the N = 32 type-I and type-II shapes (dgemm's
   // N <= 48 limit excludes the others).

@@ -42,8 +42,6 @@ struct GemmPlan {
   /// DMA buffering depth the plan was tuned with: 0 = follow
   /// FtimmOptions::pingpong, 1 = single-buffered, >= 2 = ping-pong.
   int dma_buffers = 0;
-  /// Recursion cutoff when strategy == Strassen (0 = built-in default).
-  std::size_t strassen_cutoff = 0;
 };
 
 /// Source of pre-computed plans consulted by FtimmEngine::plan before the
@@ -96,7 +94,6 @@ class FtimmEngine {
   void set_plan_provider(std::shared_ptr<const PlanProvider> provider) {
     provider_ = std::move(provider);
   }
-  const PlanProvider* plan_provider() const { return provider_.get(); }
 
   /// The shape dispatcher of §IV-C, exposed for tests/benchmarks.
   Strategy choose_strategy(std::size_t m, std::size_t n, std::size_t k) const;
@@ -106,7 +103,6 @@ class FtimmEngine {
                        bool dynamic = true, int cores = 8) const;
   KBlocks k_blocks_for(std::size_t m, std::size_t n, std::size_t k,
                        bool dynamic = true, int cores = 8) const;
-  const TBlocks& t_blocks() const { return tblocks_; }
 
   double roofline(std::size_t m, std::size_t n, std::size_t k,
                   int cores) const {

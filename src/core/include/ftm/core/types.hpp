@@ -21,10 +21,6 @@ enum class Strategy {
   TGemm,      ///< Algorithm 1 baseline (N-dimension parallel, fixed blocks)
   ParallelM,  ///< Algorithm 4 (M-dimension parallel, B panel in GSM)
   ParallelK,  ///< Algorithm 5 (K-dimension parallel, GSM reduction)
-  /// Strassen recursion over the blocked FP32 path (extension). Never
-  /// chosen by the analytic dispatcher — only a forced option or a tuned
-  /// plan selects it, so every Auto shape keeps its pre-Strassen cycles.
-  Strassen,
 };
 
 const char* to_string(Strategy s);
@@ -102,10 +98,6 @@ struct FtimmOptions {
   /// operands packed to halves outside the timed region, FP32
   /// accumulation on the DSP. F64 callers use dgemm() directly.
   kernelgen::DType dtype = kernelgen::DType::F32;
-  /// Strassen recursion cutoff: sub-problems whose max dimension is at or
-  /// below this run the blocked FP32 path. 0 = the built-in default
-  /// (strassen.hpp). Only consulted when Strategy::Strassen executes.
-  std::size_t strassen_cutoff = 0;
 };
 
 /// What a simulated GEMM cost.
@@ -136,13 +128,11 @@ struct GemmResult {
   std::uint64_t checksum_cycles = 0;
   /// Compute precision this result was produced with.
   kernelgen::DType dtype = kernelgen::DType::F32;
-  /// Strassen recursion depth actually taken (0 = no Strassen level).
-  int strassen_levels = 0;
 
   /// Serial merge: `o` ran after this on the same cores, so cycles (and
   /// checksum cycles) add. Traffic, work, host time and ABFT counts add;
-  /// the recursion depth is the deeper one; strategy, cores and dtype
-  /// follow `o` unless it is a CPU-fallback result, which has none.
+  /// strategy, cores and dtype follow `o` unless it is a CPU-fallback
+  /// result, which has none.
   void add(const GemmResult& o);
   /// Concurrent merge: `o` ran alongside this on other cores, so the
   /// makespan (and its checksum share) is the slower one's. Everything

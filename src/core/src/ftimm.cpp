@@ -6,7 +6,6 @@
 
 #include "ftm/abft/abft.hpp"
 #include "ftm/core/hgemm.hpp"
-#include "ftm/core/strassen.hpp"
 #include "ftm/trace/trace.hpp"
 
 namespace ftm::core {
@@ -17,7 +16,6 @@ const char* to_string(Strategy s) {
     case Strategy::TGemm: return "tgemm";
     case Strategy::ParallelM: return "ftimm-M";
     case Strategy::ParallelK: return "ftimm-K";
-    case Strategy::Strassen: return "strassen";
   }
   return "?";
 }
@@ -45,7 +43,6 @@ void merge(GemmResult& into, const GemmResult& o, bool parallel) {
   into.checksum_checks += o.checksum_checks;
   into.sdc_detected += o.sdc_detected;
   into.sdc_corrected += o.sdc_corrected;
-  into.strassen_levels = std::max(into.strassen_levels, o.strassen_levels);
   if (!o.cpu_fallback) {
     into.strategy = o.strategy;
     into.cores = o.cores;
@@ -138,10 +135,6 @@ GemmPlan FtimmEngine::plan(std::size_t m, std::size_t n, std::size_t k,
     case Strategy::TGemm:
       p.tblocks = tblocks_;
       break;
-    case Strategy::Strassen:
-      // Leaves re-enter plan() with Auto force; only the cutoff travels.
-      p.strassen_cutoff = opt.strassen_cutoff;
-      break;
     case Strategy::Auto:
       FTM_ASSERT(false);
   }
@@ -184,20 +177,11 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
   // Mixed precision (docs/precision.md): F16/BF16 requests run the
   // dedicated half engine, which derives its own capacity blocks (2-byte
   // operands change every footprint) — the FP32 plan does not apply.
-  if (kernelgen::is_half(eff.dtype) && plan.strategy != Strategy::Strassen) {
+  if (kernelgen::is_half(eff.dtype)) {
     GemmResult hr = hgemm_f32(*this, in, eff);
     FTM_TRACE_COUNTER("kernel.dtype",
                       static_cast<std::uint64_t>(eff.dtype));
     return hr;
-  }
-
-  // Strassen reassociates the accumulation, which breaks the calibrated
-  // ABFT checksum tolerances — integrity stays on the blocked paths
-  // (docs/precision.md), so the Strassen branch returns directly.
-  if (plan.strategy == Strategy::Strassen) {
-    FtimmOptions seff = eff;
-    seff.dtype = kernelgen::DType::F32;  // Strassen recurses at FP32
-    return strassen_gemm(*this, in, plan.strassen_cutoff, seff);
   }
 
   // ABFT (ISSUE 8, docs/robustness.md): capture the checksum expectations
@@ -222,7 +206,6 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
     case Strategy::TGemm:
       r = run_tgemm(cluster_, *cache_, in, plan.tblocks, eff);
       break;
-    case Strategy::Strassen:  // handled (and returned) above
     case Strategy::Auto:
       FTM_ASSERT(false);
       return {};

@@ -106,7 +106,6 @@ class GraphExecutor {
   const MemoryPlan& last_plan() const { return plan_; }
 
   runtime::GemmRuntime& runtime() { return rt_; }
-  const GraphOptions& options() const { return opt_; }
 
  private:
   runtime::GemmRuntime& rt_;

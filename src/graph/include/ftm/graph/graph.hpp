@@ -141,7 +141,6 @@ class Graph {
   const Node& node(NodeId n) const;
   const std::vector<Tensor>& tensors() const { return tensors_; }
   const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<TensorId>& outputs() const { return outputs_; }
   bool is_output(TensorId t) const;
 
  private:

@@ -60,8 +60,6 @@ struct KernelSpec {
   int am_row_bytes() const { return vn() * 128; }
   /// AM row pitch in elements.
   int am_row_elems() const { return vn() * lanes(); }
-  /// Back-compat alias used by the FP32 strategies.
-  int am_row_floats() const { return am_row_elems(); }
 
   std::size_t a_bytes() const {
     const std::size_t kd = is_half(dtype) ? 2u * kpairs() : ka;

@@ -1,37 +1,25 @@
 // Ring collectives over the modeled interconnect (ISSUE 9,
-// docs/scaleout.md): broadcast, reduce-scatter, allgather, allreduce.
+// docs/scaleout.md): broadcast and allreduce.
 //
-// Each collective does two things at once:
-//
-//  * cost accounting — it schedules every constituent transfer on the
-//    Interconnect's per-link busy clocks and advances the participating
-//    nodes' clocks, so the cycle cost of a collective reflects link
-//    serialization, multi-hop routes, and stragglers (a group member
-//    whose clock is behind delays the steps it participates in);
-//  * data movement — when a buffer set is supplied, the same schedule is
-//    executed functionally on host FP32 buffers (reduce-scatter really
-//    sums, allgather really copies), so the algorithms are testable
-//    against a reference reduction at any group size, including
-//    non-powers of two.
-//
-// Pass `data == nullptr` for cost-only accounting (timing-only GEMMs).
+// The collectives are cost-only. Each schedules every constituent
+// transfer on the Interconnect's per-link busy clocks and advances the
+// participating nodes' clocks, so the cycle cost of a collective reflects
+// link serialization, multi-hop routes, and stragglers (a group member
+// whose clock is behind delays the steps it takes part in). No data
+// moves: the GEMM sharder (scaleout.hpp) assembles C on the host, folding
+// K-panel partials in canonical cell order, so C's bits never depend on
+// node count, grid or ring positions (docs/scaleout.md "Determinism").
 //
 // Algorithms (P = group size, B = buffer bytes):
 //  * broadcast: unpipelined ring relay, P-1 sequential full-payload hops;
-//  * reduce-scatter: the classic P-1 step ring; in step s, rank i sends
-//    chunk (i - s) mod P to rank i+1, which accumulates it. Chunk c ends
-//    fully reduced on rank (c + P - 1) mod P, each rank having moved
-//    ~B/P bytes per step;
-//  * allgather: the mirror-image ring, same traffic, copies instead of
-//    adds; * allreduce: reduce-scatter followed by allgather (2(P-1)
-//    steps, 2B(P-1)/P bytes per rank — the bandwidth-optimal ring).
-//
-// FP note: a ring reduction's accumulation order depends on the ring
-// positions, so reduce_scatter/allreduce results are deterministic for a
-// fixed group but not bitwise identical across different group sizes.
-// The GEMM sharder (scaleout.hpp) therefore folds K-panel partials in a
-// canonical panel order and uses these collectives for cost accounting —
-// see docs/scaleout.md "Determinism".
+//  * allreduce: the bandwidth-optimal ring, a reduce-scatter followed by
+//    an allgather. The reduce-scatter takes P-1 steps; in step s, rank i
+//    sends chunk (i - s) mod P to rank i+1, so chunk c ends fully reduced
+//    on rank (c + P - 1) mod P. The allgather then takes P-1 more steps
+//    in which rank i forwards chunk (i - s + 1) mod P. Each rank moves
+//    ~B/P bytes per step: 2(P-1) steps, 2B(P-1)/P bytes per rank. B is
+//    split into P chunks of 4-byte elements, the remainder spread over
+//    the leading chunks.
 #pragma once
 
 #include <cstdint>
@@ -59,47 +47,18 @@ struct CollectiveResult {
   std::uint64_t steps = 0;
 };
 
-/// One FP32 buffer per group rank (rank order, equal lengths). For
-/// reduce_scatter/allreduce these are the per-rank partial vectors; for
-/// broadcast only data[root_rank] is read.
-using BufferSet = std::vector<std::span<float>>;
-
-/// Rank that owns fully-reduced chunk `chunk` after ring_reduce_scatter.
-int reduce_scatter_owner(int group_size, int chunk);
-
-/// Ring relay broadcast of `bytes` from `root_rank` (an index into
-/// g.ranks) to every other member. Advances `clocks` (indexed by physical
-/// node id) and the interconnect's link clocks.
+/// Ring relay broadcast of `bytes` (a multiple of 4) from `root_rank` (an
+/// index into g.ranks) to every other member. Advances `clocks` (indexed
+/// by physical node id) and the interconnect's link clocks.
 CollectiveResult ring_broadcast(Interconnect& net,
                                 std::span<std::uint64_t> clocks,
                                 const Group& g, int root_rank,
-                                std::uint64_t bytes,
-                                const BufferSet* data = nullptr);
+                                std::uint64_t bytes);
 
-/// Ring reduce-scatter over a logical buffer of `bytes` (must be a
-/// multiple of 4: FP32 chunk arithmetic). After the call, rank r's buffer
-/// holds the fully reduced chunk reduce_scatter_owner^-1(r); other chunk
-/// regions hold partial sums (exactly as the real algorithm leaves them).
-CollectiveResult ring_reduce_scatter(Interconnect& net,
-                                     std::span<std::uint64_t> clocks,
-                                     const Group& g, std::uint64_t bytes,
-                                     const BufferSet* data = nullptr);
-
-/// Ring allgather: every rank ends holding every chunk. `chunk_of_rank`
-/// maps rank -> the chunk it initially owns; pass nullptr for the
-/// identity mapping (standalone allgather).
-CollectiveResult ring_allgather(Interconnect& net,
-                                std::span<std::uint64_t> clocks,
-                                const Group& g, std::uint64_t bytes,
-                                const BufferSet* data = nullptr,
-                                const std::vector<int>* chunk_of_rank =
-                                    nullptr);
-
-/// Ring allreduce = reduce-scatter + allgather. Functionally, every
-/// rank's buffer ends holding the elementwise sum over all ranks.
+/// Ring allreduce of a buffer of `bytes` (a multiple of 4): reduce-scatter
+/// then allgather, with the same clock effects as ring_broadcast.
 CollectiveResult ring_allreduce(Interconnect& net,
                                 std::span<std::uint64_t> clocks,
-                                const Group& g, std::uint64_t bytes,
-                                const BufferSet* data = nullptr);
+                                const Group& g, std::uint64_t bytes);
 
 }  // namespace ftm::nodes

@@ -69,9 +69,8 @@ class Interconnect {
   /// Clears all link clocks (a new modeled job) but keeps the totals.
   void reset_clocks();
 
-  // Cumulative accounting (across reset_clocks).
+  /// Bytes sent so far, across reset_clocks.
   std::uint64_t total_bytes() const { return total_bytes_; }
-  std::uint64_t total_transfers() const { return total_transfers_; }
 
  private:
   /// Busy-until clock of the directed link src -> dst; creates it at 0.
@@ -84,7 +83,6 @@ class Interconnect {
   LinkConfig link_;
   std::map<std::pair<int, int>, std::uint64_t> clocks_;
   std::uint64_t total_bytes_ = 0;
-  std::uint64_t total_transfers_ = 0;
 };
 
 }  // namespace ftm::nodes

@@ -8,33 +8,12 @@
 namespace ftm::nodes {
 namespace {
 
-/// Element range [off, off+len) of chunk `c` when `elems` elements are
-/// split into `p` chunks (remainder spread over the leading chunks).
-struct Chunk {
-  std::size_t off = 0;
-  std::size_t len = 0;
-};
-
-Chunk chunk_range(std::size_t elems, int p, int c) {
-  const std::size_t base = elems / static_cast<std::size_t>(p);
-  const std::size_t rem = elems % static_cast<std::size_t>(p);
-  const auto uc = static_cast<std::size_t>(c);
-  Chunk ch;
-  ch.len = base + (uc < rem ? 1 : 0);
-  ch.off = base * uc + std::min(uc, rem);
-  return ch;
-}
-
 void validate(const Group& g, std::span<std::uint64_t> clocks,
-              std::uint64_t bytes, const BufferSet* data) {
+              std::uint64_t bytes) {
   FTM_EXPECTS(g.size() >= 1);
   FTM_EXPECTS(bytes % 4 == 0);
   for (const int r : g.ranks) {
     FTM_EXPECTS(r >= 0 && static_cast<std::size_t>(r) < clocks.size());
-  }
-  if (data != nullptr) {
-    FTM_EXPECTS(data->size() == static_cast<std::size_t>(g.size()));
-    for (const auto& s : *data) FTM_EXPECTS(s.size() * 4 == bytes);
   }
 }
 
@@ -47,19 +26,62 @@ std::uint64_t group_max_clock(const Group& g,
   return mx;
 }
 
-}  // namespace
-
-int reduce_scatter_owner(int group_size, int chunk) {
-  FTM_EXPECTS(group_size >= 1 && chunk >= 0 && chunk < group_size);
-  return (chunk + group_size - 1) % group_size;
+/// Bytes of chunk `c` when the 4-byte elements of `bytes` are split into
+/// `p` chunks (remainder spread over the leading chunks).
+std::uint64_t chunk_bytes(std::uint64_t bytes, int p, int c) {
+  const std::uint64_t elems = bytes / 4;
+  const auto up = static_cast<std::uint64_t>(p);
+  const std::uint64_t extra = static_cast<std::uint64_t>(c) < elems % up;
+  return 4 * (elems / up + extra);
 }
+
+/// One ring pass of P-1 steps (P > 1): in step s, rank i sends chunk
+/// (i - s + offset) mod P to rank i+1. Offset 0 is the reduce-scatter;
+/// offset 1 is the allgather after it, where each rank starts from the
+/// chunk it holds fully reduced. `counter` names the pass in the trace.
+CollectiveResult ring_pass(Interconnect& net,
+                           std::span<std::uint64_t> clocks, const Group& g,
+                           std::uint64_t bytes, int offset,
+                           const char* counter) {
+  const int p = g.size();
+  CollectiveResult res;
+  std::vector<std::uint64_t> next(static_cast<std::size_t>(p), 0);
+  for (int s = 0; s < p - 1; ++s) {
+    // All p sends of a step run concurrently on disjoint ring links; a
+    // rank's next step starts once its own receive has landed.
+    for (int i = 0; i < p; ++i) {
+      const std::uint64_t len =
+          chunk_bytes(bytes, p, (i - s + offset + 2 * p) % p);
+      const int to_rank = (i + 1) % p;
+      const int from = g.ranks[static_cast<std::size_t>(i)];
+      const int to = g.ranks[static_cast<std::size_t>(to_rank)];
+      const std::uint64_t begin =
+          std::max(clocks[static_cast<std::size_t>(from)],
+                   clocks[static_cast<std::size_t>(to)]);
+      next[static_cast<std::size_t>(to_rank)] =
+          net.send(from, to, len, begin);
+      res.link_bytes += len;
+    }
+    for (int i = 0; i < p; ++i) {
+      clocks[static_cast<std::size_t>(g.ranks[static_cast<std::size_t>(
+          i)])] = next[static_cast<std::size_t>(i)];
+    }
+    ++res.steps;
+  }
+  res.finish = group_max_clock(g, clocks);
+  FTM_TRACE_COUNTER(counter, 1);
+  FTM_TRACE_COUNTER("collective.bytes", res.link_bytes);
+  FTM_TRACE_COUNTER("collective.steps", res.steps);
+  return res;
+}
+
+}  // namespace
 
 CollectiveResult ring_broadcast(Interconnect& net,
                                 std::span<std::uint64_t> clocks,
                                 const Group& g, int root_rank,
-                                std::uint64_t bytes,
-                                const BufferSet* data) {
-  validate(g, clocks, bytes, data);
+                                std::uint64_t bytes) {
+  validate(g, clocks, bytes);
   const int p = g.size();
   FTM_EXPECTS(root_rank >= 0 && root_rank < p);
   CollectiveResult res;
@@ -83,12 +105,6 @@ CollectiveResult ring_broadcast(Interconnect& net,
     clocks[static_cast<std::size_t>(to)] = t;
     res.link_bytes += bytes;
     ++res.steps;
-    if (data != nullptr) {
-      const auto& src = (*data)[static_cast<std::size_t>(root_rank)];
-      const auto& dst =
-          (*data)[static_cast<std::size_t>((root_rank + i) % p)];
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
   }
   res.finish = group_max_clock(g, clocks);
   FTM_TRACE_COUNTER("collective.broadcast", 1);
@@ -97,132 +113,22 @@ CollectiveResult ring_broadcast(Interconnect& net,
   return res;
 }
 
-CollectiveResult ring_reduce_scatter(Interconnect& net,
-                                     std::span<std::uint64_t> clocks,
-                                     const Group& g, std::uint64_t bytes,
-                                     const BufferSet* data) {
-  validate(g, clocks, bytes, data);
-  const int p = g.size();
-  CollectiveResult res;
-  if (p == 1) {
-    res.finish = clocks[static_cast<std::size_t>(g.ranks[0])];
-    return res;
-  }
-  const std::size_t elems = bytes / 4;
-  std::vector<std::uint64_t> next(static_cast<std::size_t>(p), 0);
-  for (int s = 0; s < p - 1; ++s) {
-    // All p sends of a step run concurrently on disjoint ring links; a
-    // rank's next step starts once its own receive has landed.
-    for (int i = 0; i < p; ++i) {
-      const int chunk = (i - s + 2 * p) % p;
-      const Chunk ch = chunk_range(elems, p, chunk);
-      const int to_rank = (i + 1) % p;
-      const int from = g.ranks[static_cast<std::size_t>(i)];
-      const int to = g.ranks[static_cast<std::size_t>(to_rank)];
-      const std::uint64_t begin =
-          std::max(clocks[static_cast<std::size_t>(from)],
-                   clocks[static_cast<std::size_t>(to)]);
-      next[static_cast<std::size_t>(to_rank)] =
-          net.send(from, to, ch.len * 4, begin);
-      res.link_bytes += ch.len * 4;
-      if (data != nullptr && ch.len > 0) {
-        const auto& src = (*data)[static_cast<std::size_t>(i)];
-        const auto& dst = (*data)[static_cast<std::size_t>(to_rank)];
-        for (std::size_t e = 0; e < ch.len; ++e) {
-          dst[ch.off + e] += src[ch.off + e];
-        }
-      }
-    }
-    for (int i = 0; i < p; ++i) {
-      clocks[static_cast<std::size_t>(g.ranks[static_cast<std::size_t>(
-          i)])] = next[static_cast<std::size_t>(i)];
-    }
-    ++res.steps;
-  }
-  res.finish = group_max_clock(g, clocks);
-  FTM_TRACE_COUNTER("collective.reduce_scatter", 1);
-  FTM_TRACE_COUNTER("collective.bytes", res.link_bytes);
-  FTM_TRACE_COUNTER("collective.steps", res.steps);
-  return res;
-}
-
-CollectiveResult ring_allgather(Interconnect& net,
-                                std::span<std::uint64_t> clocks,
-                                const Group& g, std::uint64_t bytes,
-                                const BufferSet* data,
-                                const std::vector<int>* chunk_of_rank) {
-  validate(g, clocks, bytes, data);
-  const int p = g.size();
-  CollectiveResult res;
-  if (p == 1) {
-    res.finish = clocks[static_cast<std::size_t>(g.ranks[0])];
-    return res;
-  }
-  if (chunk_of_rank != nullptr) {
-    FTM_EXPECTS(chunk_of_rank->size() == static_cast<std::size_t>(p));
-  }
-  const auto own = [&](int rank) {
-    return chunk_of_rank != nullptr
-               ? (*chunk_of_rank)[static_cast<std::size_t>(rank)]
-               : rank;
-  };
-  const std::size_t elems = bytes / 4;
-  std::vector<std::uint64_t> next(static_cast<std::size_t>(p), 0);
-  for (int s = 0; s < p - 1; ++s) {
-    // In step s, rank i forwards the chunk it received in step s-1
-    // (step 0: its own chunk) to its ring successor.
-    for (int i = 0; i < p; ++i) {
-      const int chunk = own((i - s + 2 * p) % p);
-      const Chunk ch = chunk_range(elems, p, chunk);
-      const int to_rank = (i + 1) % p;
-      const int from = g.ranks[static_cast<std::size_t>(i)];
-      const int to = g.ranks[static_cast<std::size_t>(to_rank)];
-      const std::uint64_t begin =
-          std::max(clocks[static_cast<std::size_t>(from)],
-                   clocks[static_cast<std::size_t>(to)]);
-      next[static_cast<std::size_t>(to_rank)] =
-          net.send(from, to, ch.len * 4, begin);
-      res.link_bytes += ch.len * 4;
-      if (data != nullptr && ch.len > 0) {
-        const auto& src = (*data)[static_cast<std::size_t>(i)];
-        const auto& dst = (*data)[static_cast<std::size_t>(to_rank)];
-        std::copy(src.begin() + static_cast<std::ptrdiff_t>(ch.off),
-                  src.begin() + static_cast<std::ptrdiff_t>(ch.off +
-                                                            ch.len),
-                  dst.begin() + static_cast<std::ptrdiff_t>(ch.off));
-      }
-    }
-    for (int i = 0; i < p; ++i) {
-      clocks[static_cast<std::size_t>(g.ranks[static_cast<std::size_t>(
-          i)])] = next[static_cast<std::size_t>(i)];
-    }
-    ++res.steps;
-  }
-  res.finish = group_max_clock(g, clocks);
-  FTM_TRACE_COUNTER("collective.allgather", 1);
-  FTM_TRACE_COUNTER("collective.bytes", res.link_bytes);
-  FTM_TRACE_COUNTER("collective.steps", res.steps);
-  return res;
-}
-
 CollectiveResult ring_allreduce(Interconnect& net,
                                 std::span<std::uint64_t> clocks,
-                                const Group& g, std::uint64_t bytes,
-                                const BufferSet* data) {
-  const int p = g.size();
-  const CollectiveResult rs =
-      ring_reduce_scatter(net, clocks, g, bytes, data);
-  // After reduce-scatter, rank r owns chunk c with owner(c) == r.
-  std::vector<int> own(static_cast<std::size_t>(p), 0);
-  for (int c = 0; c < p; ++c) {
-    own[static_cast<std::size_t>(reduce_scatter_owner(p, c))] = c;
-  }
-  const CollectiveResult ag =
-      ring_allgather(net, clocks, g, bytes, data, &own);
+                                const Group& g, std::uint64_t bytes) {
+  validate(g, clocks, bytes);
   CollectiveResult res;
-  res.finish = ag.finish;
-  res.link_bytes = rs.link_bytes + ag.link_bytes;
-  res.steps = rs.steps + ag.steps;
+  if (g.size() == 1) {
+    res.finish = clocks[static_cast<std::size_t>(g.ranks[0])];
+  } else {
+    const CollectiveResult rs = ring_pass(net, clocks, g, bytes, 0,
+                                          "collective.reduce_scatter");
+    const CollectiveResult ag =
+        ring_pass(net, clocks, g, bytes, 1, "collective.allgather");
+    res.finish = ag.finish;
+    res.link_bytes = rs.link_bytes + ag.link_bytes;
+    res.steps = rs.steps + ag.steps;
+  }
   FTM_TRACE_COUNTER("collective.allreduce", 1);
   return res;
 }

@@ -51,7 +51,6 @@ std::uint64_t Interconnect::send(int src, int dst, std::uint64_t bytes,
   FTM_EXPECTS(src >= 0 && src < nodes_ && dst >= 0 && dst < nodes_);
   if (src == dst || bytes == 0) return start;
   total_bytes_ += bytes;
-  ++total_transfers_;
   std::uint64_t t = start;
   int at = src;
   // Store-and-forward: each hop waits for both the previous hop's data

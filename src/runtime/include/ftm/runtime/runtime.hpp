@@ -284,9 +284,14 @@ class GemmRuntime {
                                   RequestStats& rs);
   void handle_fault(int cluster, std::unique_ptr<Request> req,
                     std::exception_ptr err, RequestStats& rs);
-  void run_cpu_fallback(std::unique_ptr<Request> req, RequestStats& rs);
+  /// A request-log row index meaning "append a new row".
+  static constexpr std::size_t kNewRow = ~std::size_t{0};
+  /// The terminal paths log `rs`, overwriting `row` when the attempt
+  /// already has one (a retry push that lost the race with shutdown).
+  void run_cpu_fallback(std::unique_ptr<Request> req, RequestStats& rs,
+                        std::size_t row = kNewRow);
   void fail(std::unique_ptr<Request> req, std::exception_ptr err,
-            RequestStats& rs);
+            RequestStats& rs, std::size_t row = kNewRow);
   void deliver(Request& req, const core::GemmResult& r);
   /// Re-routes a request popped by a quarantined cluster's worker.
   void divert(int cluster, std::unique_ptr<Request> req);
@@ -295,7 +300,9 @@ class GemmRuntime {
   int pick_retry_target(const Request& req) const;
   void snapshot_c(Request& req) const;
   void restore_c(Request& req) const;
-  void log_request(const RequestStats& rs);
+  /// Appends `rs` to the request log, or overwrites row `row` unless it
+  /// is kNewRow. Returns the row's index (kNewRow when the log is off).
+  std::size_t log_request(const RequestStats& rs, std::size_t row = kNewRow);
   /// Adds `delta` to one counter of counters_ and, unless `traced` is
   /// false, to its trace twin; returns the new value. The only way a
   /// RuntimeStats counter moves, so a field and its trace counter cannot

@@ -928,6 +928,7 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
   // A faulted dispatch with detections is an IntegrityError escalation:
   // the re-dispatch (or CPU fallback) recomputes the damaged block.
   const bool recompute = rs.sdc_detected > 0;
+  std::size_t row = kNewRow;
   if (req->attempts <= res.max_retries) {
     const int target = pick_retry_target(*req);
     if (target >= 0) {
@@ -946,23 +947,24 @@ void GemmRuntime::handle_fault(int cluster, std::unique_ptr<Request> req,
       req->reuse_panel_bytes = 0;
       req->bound_cluster = target;
       req->recompute = recompute;
-      if (queue_.try_push(target, req)) {
-        log_request(rs);  // the faulted attempt; the retry logs its own row
-        return;
-      }
+      // Log the faulted attempt before the push: once queued, the retry
+      // can deliver, and a caller woken by get() must find this row. The
+      // retry logs its own row.
+      row = log_request(rs);
+      if (queue_.try_push(target, req)) return;
     }
   }
   // Retries exhausted, no healthy cluster left, or the queue shut down.
   if (res.cpu_fallback) {
     if (recompute) count(&RuntimeStats::recomputed_shards);
-    run_cpu_fallback(std::move(req), rs);
+    run_cpu_fallback(std::move(req), rs, row);
     return;
   }
-  fail(std::move(req), err, rs);
+  fail(std::move(req), err, rs, row);
 }
 
 void GemmRuntime::run_cpu_fallback(std::unique_ptr<Request> req,
-                                   RequestStats& rs) {
+                                   RequestStats& rs, std::size_t row) {
   rs.cpu_fallback = true;
   restore_c(*req);
   core::GemmResult r;
@@ -975,20 +977,20 @@ void GemmRuntime::run_cpu_fallback(std::unique_ptr<Request> req,
       cpu::cpu_gemm(req->in.a, req->in.b, req->in.c, req->opt.host_pool);
     }
   } catch (...) {
-    fail(std::move(req), std::current_exception(), rs);
+    fail(std::move(req), std::current_exception(), rs, row);
     return;
   }
   count(&RuntimeStats::fallbacks);
   trace_event("cpu_fallback", "health", rs.cluster);
-  log_request(rs);
+  log_request(rs, row);
   deliver(*req, r);
 }
 
 void GemmRuntime::fail(std::unique_ptr<Request> req, std::exception_ptr err,
-                       RequestStats& rs) {
+                       RequestStats& rs, std::size_t row) {
   rs.failed = true;
-  restore_c(*req);  // a failed request leaves C exactly as submitted
-  log_request(rs);  // before the promise wakes the waiter
+  restore_c(*req);       // a failed request leaves C exactly as submitted
+  log_request(rs, row);  // before the promise wakes the waiter
   note_batch_member_done(*req);
   if (!req->group) {
     count(&RuntimeStats::failed);
@@ -1121,10 +1123,16 @@ void GemmRuntime::restore_c(Request& req) const {
   }
 }
 
-void GemmRuntime::log_request(const RequestStats& rs) {
-  if (!ro_.keep_request_log) return;
+std::size_t GemmRuntime::log_request(const RequestStats& rs,
+                                     std::size_t row) {
+  if (!ro_.keep_request_log) return kNewRow;
   const std::lock_guard<std::mutex> lock(stats_mu_);
+  if (row != kNewRow) {
+    log_[row] = rs;
+    return row;
+  }
   log_.push_back(rs);
+  return log_.size() - 1;
 }
 
 std::uint64_t GemmRuntime::charge_lanes(ClusterState& cs,

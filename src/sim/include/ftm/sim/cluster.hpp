@@ -41,7 +41,6 @@ class Cluster {
   /// Number of cores participating in the current GEMM; used as the DDR
   /// (and GSM aggregate) bandwidth sharing factor.
   void set_active_cores(int n);
-  int active_cores() const { return active_cores_; }
 
   /// When false, callers skip the actual byte copies and kernels may skip
   /// math: timing-only mode for huge parameter sweeps. Defaults true.

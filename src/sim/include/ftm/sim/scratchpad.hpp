@@ -29,7 +29,6 @@ class Scratchpad {
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return bytes_.size(); }
   std::size_t allocated() const { return top_; }
-  std::size_t free_bytes() const { return capacity() - top_; }
 
   /// Allocates `bytes` (64-byte aligned). Throws ContractViolation when the
   /// scratchpad would overflow — the simulator's capacity enforcement.

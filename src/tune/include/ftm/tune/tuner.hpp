@@ -68,7 +68,6 @@ class Tuner {
   std::vector<TuneReport> tune_into(TuningCache& cache,
                                     const std::vector<Shape>& shapes);
 
-  const TunerOptions& options() const { return opt_; }
   const isa::MachineConfig& machine() const { return mc_; }
 
  private:

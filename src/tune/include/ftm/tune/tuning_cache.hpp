@@ -19,8 +19,9 @@
 //   }
 //
 // Schema 2 adds the per-entry "dtype" (kernelgen::DType as an integer;
-// part of the class key) and the "strassen" strategy, whose blocks object
-// holds the recursion cutoff.
+// part of the class key). The strategy is one of "ftimm-M", "ftimm-K"
+// and "tgemm"; any other name, a retired strategy's included, makes the
+// whole file a ParseError.
 //
 // load() NEVER throws on bad input: a missing file, truncated/corrupt
 // JSON, a schema-version mismatch, or a machine-hash mismatch all leave
@@ -58,8 +59,6 @@ struct TunedEntry {
   core::MBlocks mblocks;  ///< seed when strategy == ParallelM
   core::KBlocks kblocks;  ///< seed when strategy == ParallelK
   core::TBlocks tblocks;  ///< blocks when strategy == TGemm
-  /// Recursion cutoff when strategy == Strassen (schema 2).
-  std::size_t strassen_cutoff = 0;
   int dma_buffers = 2;    ///< 1 = single-buffered, 2 = ping-pong
   std::size_t m = 0, n = 0, k = 0;      ///< representative tuned shape
   std::uint64_t tuned_cycles = 0;       ///< objective at the winner
@@ -79,10 +78,11 @@ const char* to_string(LoadStatus s);
 
 class TuningCache : public core::PlanProvider {
  public:
-  /// Schema 2 (ISSUE 10): entries carry a "dtype" class field and the
-  /// "strassen" strategy with a cutoff. Schema-1 files load as
-  /// SchemaMismatch — the engine falls back to analytic plans, exactly as
-  /// for a missing file; re-run the tuner to regenerate.
+  /// Schema 2 (ISSUE 10): entries carry a "dtype" class field. Schema-1
+  /// files load as SchemaMismatch, and a schema-2 file that still holds an
+  /// entry of a retired strategy loads as ParseError. Either way the engine
+  /// falls back to analytic plans, exactly as for a missing file; re-run
+  /// the tuner to regenerate.
   static constexpr int kSchemaVersion = 2;
 
   explicit TuningCache(const isa::MachineConfig& mc = isa::default_machine());

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "ftm/core/blocking.hpp"
-#include "ftm/core/strassen.hpp"
 #include "ftm/trace/trace.hpp"
 #include "ftm/util/assert.hpp"
 
@@ -21,7 +20,6 @@ struct Cand {
   core::MBlocks mb;
   core::KBlocks kb;
   core::TBlocks tb;
-  std::size_t strassen_cutoff = core::kStrassenDefaultCutoff;
   int dma = 2;
 };
 
@@ -79,12 +77,6 @@ std::vector<Axis> axes_for(core::Strategy s, bool half) {
                     {128, 256, 512, 1024, 2048},
                     [](const Cand& c) { return c.kb.mg; },
                     [](Cand& c, std::size_t v) { c.kb.mg = v; }});
-      break;
-    case S::Strassen:
-      ax.push_back({"cutoff",
-                    {2048, 4096, 8192, 16384},
-                    [](const Cand& c) { return c.strassen_cutoff; },
-                    [](Cand& c, std::size_t v) { c.strassen_cutoff = v; }});
       break;
     default:  // TGemm
       ax.push_back({"ms",
@@ -163,16 +155,6 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
         case core::Strategy::ParallelK:
           p.kblocks = core::adjust_k_blocks(c.kb, m, n, k, mc_, opt_.cores);
           break;
-        case core::Strategy::Strassen:
-          // Only candidates that actually split: a cutoff at or above the
-          // shape degenerates to the autotuned blocked path, and odd
-          // dimensions are not peeled.
-          if (std::max({m, n, k}) <= c.strassen_cutoff || m % 2 != 0 ||
-              n % 2 != 0 || k % 2 != 0) {
-            return std::nullopt;
-          }
-          p.strassen_cutoff = c.strassen_cutoff;
-          break;
         default:
           p.tblocks = c.tb;
           core::check_t_blocks(p.tblocks, mc_);
@@ -193,14 +175,6 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
     c.kb = core::initial_k_blocks(mc_);
     c.tb = core::TBlocks{};
     c.dma = 2;
-    // Strassen seed: the largest grid cutoff that still splits this
-    // shape (the default prunes whenever max(m,n,k) <= it).
-    for (const std::size_t co : {16384ul, 8192ul, 4096ul, 2048ul}) {
-      if (co < std::max({m, n, k})) {
-        c.strassen_cutoff = co;
-        break;
-      }
-    }
     return c;
   };
 
@@ -216,17 +190,16 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
   Cand best = def_cand;
 
   // Race the strategies, dispatcher's pick first (it gets the budget's
-  // best coverage and anchors the zero-regression guarantee). At F32 the
-  // Strassen axis joins last: its candidates are the most expensive to
-  // evaluate (each one recurses into autotuned leaves). Half requests are
-  // routed to the dedicated engine regardless of the planned strategy, so
-  // racing other strategies would re-evaluate the same configuration.
+  // best coverage and anchors the zero-regression guarantee). Half
+  // requests are routed to the dedicated engine regardless of the planned
+  // strategy, so racing other strategies would re-evaluate the same
+  // configuration.
   const bool half = kernelgen::is_half(opt_.dtype);
   std::vector<core::Strategy> order{def_strategy};
   if (!half) {
     for (core::Strategy s :
          {core::Strategy::ParallelM, core::Strategy::ParallelK,
-          core::Strategy::TGemm, core::Strategy::Strassen}) {
+          core::Strategy::TGemm}) {
       if (s != def_strategy) order.push_back(s);
     }
   }
@@ -300,7 +273,6 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
   e.mblocks = best.mb;
   e.kblocks = best.kb;
   e.tblocks = best.tb;
-  e.strassen_cutoff = best.strassen_cutoff;
   e.dma_buffers = best.dma;
   e.m = m;
   e.n = n;

@@ -1,10 +1,10 @@
 // Minimal command-line flag parser for examples and benchmark binaries.
 // Supports `--name value`, `--name=value`, and boolean `--flag`.
+// Positional (non-flag) arguments are ignored.
 #pragma once
 
 #include <map>
 #include <string>
-#include <vector>
 
 namespace ftm {
 
@@ -18,12 +18,8 @@ class Cli {
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
-  /// Positional (non-flag) arguments in order.
-  const std::vector<std::string>& positional() const { return positional_; }
-
  private:
   std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace ftm

@@ -113,12 +113,6 @@ inline std::uint16_t f32_to_bf16(float f) {
   return static_cast<std::uint16_t>(rounded >> 16);
 }
 
-/// Truncating FP32 -> BF16 (drop the low 16 bits). Not used by the
-/// kernels — kept as the documented contrast to round-to-nearest-even.
-inline std::uint16_t f32_to_bf16_trunc(float f) {
-  return static_cast<std::uint16_t>(f32_bits(f) >> 16);
-}
-
 /// Format-dispatched widening: `bf16` selects the interpretation of `h`.
 /// This is the single widening rule VFMULAH32 and every host tier share.
 inline float half_to_f32(std::uint16_t h, bool bf16) {

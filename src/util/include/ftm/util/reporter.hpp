@@ -28,7 +28,6 @@ class Table {
   /// Write rows as CSV (header first). Overwrites the file.
   void write_csv(const std::string& path) const;
 
-  std::size_t row_count() const { return rows_.size(); }
   const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:

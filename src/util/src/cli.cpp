@@ -7,10 +7,7 @@ namespace ftm {
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
-    }
+    if (arg.rfind("--", 0) != 0) continue;  // positional: ignored
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {

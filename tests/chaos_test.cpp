@@ -274,7 +274,7 @@ TEST(Chaos, AllClustersDeadFallsBackToCpu) {
     EXPECT_EQ(fi.injected(FaultKind::ClusterDead), fi.injected_total());
 
     // report() carries the health evidence: one row per cluster + totals.
-    EXPECT_EQ(rt.report().row_count(), 5u);
+    EXPECT_EQ(rt.report().rows().size(), 5u);
     bool any_fallback_logged = false;
     for (const RequestStats& r : rt.request_log()) {
       any_fallback_logged = any_fallback_logged || r.cpu_fallback;

@@ -268,7 +268,7 @@ TEST(GraphPlanner, ReportListsEveryTensor) {
   Mlp3 mlp;
   const MemoryPlan mp =
       graph::plan_memory(mlp.g, isa::default_machine(), {});
-  EXPECT_EQ(mp.report(mlp.g).row_count(), mlp.g.num_tensors());
+  EXPECT_EQ(mp.report(mlp.g).rows().size(), mlp.g.num_tensors());
 }
 
 // ---- executor -----------------------------------------------------------

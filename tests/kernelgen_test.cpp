@@ -115,7 +115,7 @@ void check_kernel(const KernelSpec& spec) {
   const auto a = core.sm().alloc(spec.a_bytes());
   const auto b = core.am().alloc(spec.b_bytes());
   const auto c = core.am().alloc(spec.c_bytes());
-  const int ld = spec.am_row_floats();
+  const int ld = spec.am_row_elems();
 
   Prng rng(spec.ms * 1000003 + spec.ka * 97 + spec.na);
   HostMatrix ha(spec.ms, spec.ka), hb(spec.ka, spec.na), hc(spec.ms, spec.na);

@@ -1,7 +1,7 @@
 // Every producer of a GemmResult passes the one record check
 // (record_check.hpp): the engine strategies, ABFT, dgemm, the half router,
-// Strassen, the runtime's split merge, the node tier, CPU fallback and the
-// batch record. Runtime results are also checked against their
+// the runtime's split merge, the node tier, CPU fallback and the batch
+// record. Runtime results are also checked against their
 // request_log() row, which must carry the delivered result unchanged.
 #include <gtest/gtest.h>
 
@@ -119,26 +119,6 @@ TEST(Record, HalfPanelsOfWideN) {
   EXPECT_EQ(r.cycles, panels.cycles);
   EXPECT_EQ(r.kernel_calls, panels.kernel_calls);
   expect_record(r, in.flops(), opt.cores, DType::F16);
-}
-
-TEST(Record, Strassen) {
-  FtimmOptions opt = timing_only();
-  opt.force = Strategy::Strassen;
-  opt.strassen_cutoff = 128;
-  const GemmInput in = GemmInput::shape_only(512, 512, 512);
-  core::FtimmEngine eng;
-  const GemmResult r = eng.sgemm(in, opt);
-  EXPECT_EQ(r.strategy, Strategy::Strassen);
-  EXPECT_EQ(r.strassen_levels, 2);
-  expect_record(r, in.flops(), opt.cores, DType::F32);
-
-  runtime::RuntimeOptions ro;
-  ro.clusters = 1;
-  ro.gemm = opt;
-  runtime::GemmRuntime rt(ro);
-  const GemmResult rr = submit_logged(rt, in, opt);
-  EXPECT_EQ(rr.cycles, r.cycles);
-  expect_record(rr, in.flops(), opt.cores, DType::F32);
 }
 
 TEST(Record, RuntimeDispatchAndSplitShards) {

@@ -341,6 +341,36 @@ TEST(Runtime, WaitIdleBlocksThroughRetryBackoff) {
   EXPECT_GE(rt.stats().retries, 1u);
 }
 
+TEST(Runtime, FaultedAttemptIsLoggedBeforeRetryResolves) {
+  // The faulted attempt's row must be in the log before its retry can
+  // deliver: a caller woken by get() reads both rows, every time.
+  fault::FaultPlan plan;
+  plan.cluster(0).dead = true;  // least_loaded ties to 0: first bind faults
+  fault::FaultInjector fi(plan);
+  RuntimeOptions ro;
+  ro.clusters = 2;
+  ro.work_stealing = false;
+  ro.fault_injector = &fi;
+  ro.resilience.enabled = true;
+  ro.resilience.backoff_ms = 0;
+  ro.resilience.quarantine_after = 0;  // keep binding the dead cluster
+  GemmRuntime rt(ro);
+
+  workload::GemmProblem p = workload::make_problem(64, 32, 32, 5);
+  const auto in = GemmInput::bound(p.a.view(), p.b.view(), p.c.view());
+  for (std::uint64_t id = 1; id <= 200; ++id) {
+    rt.submit(in).get();
+    std::vector<RequestStats> rows;
+    for (const RequestStats& r : rt.request_log()) {
+      if (r.id == id) rows.push_back(r);
+    }
+    ASSERT_EQ(rows.size(), 2u) << "request " << id;
+    EXPECT_TRUE(rows[0].fault && rows[0].attempt == 0) << "request " << id;
+    EXPECT_TRUE(!rows[1].fault && rows[1].attempt == 1) << "request " << id;
+    rt.wait_idle();  // the faulted worker releases its load before the next
+  }
+}
+
 // --- request queue ---------------------------------------------------------
 
 std::unique_ptr<Request> make_queue_request(std::uint64_t id, std::size_t m) {
@@ -530,7 +560,7 @@ TEST(Runtime, ReportSurfacesPerClusterAndCacheCounters) {
 
   const Table t = rt.report();
   // one row per cluster plus the totals row
-  EXPECT_EQ(t.row_count(), 3u);
+  EXPECT_EQ(t.rows().size(), 3u);
   const RuntimeStats s = rt.stats();
   EXPECT_EQ(s.executed, 6u);
   EXPECT_EQ(s.cluster_requests.size(), 2u);

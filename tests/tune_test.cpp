@@ -171,59 +171,52 @@ TEST(TuningCacheTest, SchemaV1FileFallsBackToAnalytic) {
   EXPECT_FALSE(cache.lookup(262144, 32, 32, opt).has_value());
 }
 
-TEST(TuningCacheTest, StrassenAndDtypeEntriesRoundTrip) {
+TEST(TuningCacheTest, DtypeEntriesRoundTrip) {
   TuningCache cache;
-  TunedEntry s = make_entry(16384, 16384, 16384);
-  s.strategy = core::Strategy::Strassen;
-  s.strassen_cutoff = 8192;
-  cache.put(s);
   TunedEntry h = make_entry(262144, 32, 32);
   h.cls = ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::F16);
   cache.put(h);
   const std::string text = cache.serialize();
-  EXPECT_NE(text.find("\"strategy\": \"strassen\""), std::string::npos);
-  EXPECT_NE(text.find("\"cutoff\": 8192"), std::string::npos);
   EXPECT_NE(text.find("-dt2"), std::string::npos);
   TuningCache loaded;
   ASSERT_EQ(loaded.deserialize(text), LoadStatus::Ok);
   EXPECT_EQ(loaded.serialize(), text);
-  const auto hit = loaded.find(s.cls);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->strategy, core::Strategy::Strassen);
-  EXPECT_EQ(hit->strassen_cutoff, 8192u);
 
   // lookup() keys on the request dtype: the F16 entry is invisible to an
-  // F32 request and vice versa, and the Strassen entry binds to a plan
-  // that carries its cutoff.
+  // F32 request and vice versa.
   core::FtimmOptions f32;
   EXPECT_FALSE(loaded.lookup(262144, 32, 32, f32).has_value());
   core::FtimmOptions f16 = f32;
   f16.dtype = kernelgen::DType::F16;
   EXPECT_TRUE(loaded.lookup(262144, 32, 32, f16).has_value());
-  const auto sp = loaded.lookup(16384, 16384, 16384, f32);
-  ASSERT_TRUE(sp.has_value());
-  EXPECT_EQ(sp->strategy, core::Strategy::Strassen);
-  EXPECT_EQ(sp->strassen_cutoff, 8192u);
 }
 
-TEST(EngineIntegrationTest, TunedStrassenPlanRunsStrassen) {
-  const isa::MachineConfig mc = isa::default_machine();
-  auto cache = std::make_shared<TuningCache>(mc);
-  TunedEntry e;
-  e.cls = ShapeClass::of(1024, 1024, 1024, 8);
-  e.strategy = core::Strategy::Strassen;
-  e.strassen_cutoff = 256;
-  e.m = 1024;
-  e.n = 1024;
-  e.k = 1024;
-  cache->put(e);
-  core::FtimmEngine eng(mc);
-  eng.set_plan_provider(cache);
-  core::FtimmOptions opt;
-  opt.functional = false;
-  const auto r = eng.sgemm(core::GemmInput::shape_only(1024, 1024, 1024), opt);
-  EXPECT_EQ(r.strategy, core::Strategy::Strassen);
-  EXPECT_EQ(r.strassen_levels, 2);
+TEST(TuningCacheTest, RetiredStrassenEntryIsAParseError) {
+  // A schema-2 file written before the strategy was retired: its one
+  // entry names "strassen" with a recursion cutoff as its blocks. It must
+  // be rejected whole, like any unknown strategy, and leave what the
+  // cache already holds untouched.
+  TuningCache old;
+  old.put(make_entry(16384, 16384, 16384));
+  std::string text = old.serialize();
+  const auto strat = text.find("\"ftimm-M\"");
+  ASSERT_NE(strat, std::string::npos);
+  text.replace(strat, 9, "\"strassen\"");
+  const auto blocks = text.find("\"blocks\": {");
+  ASSERT_NE(blocks, std::string::npos);
+  text.replace(blocks, text.find('}', blocks) + 1 - blocks,
+               "\"blocks\": {\"cutoff\": 8192}");
+  ASSERT_NE(text.find("\"schema\": 2"), std::string::npos);
+
+  TuningCache cache;
+  const TunedEntry kept = make_entry(262144, 32, 32);
+  cache.put(kept);
+  EXPECT_EQ(cache.deserialize(text), LoadStatus::ParseError);
+  EXPECT_EQ(cache.size(), 1u);
+  const auto hit = cache.find(kept.cls);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->strategy, core::Strategy::ParallelM);
+  EXPECT_FALSE(cache.find(ShapeClass::of(16384, 16384, 16384, 8)).has_value());
 }
 
 TEST(TunerTest, HalfEntriesTuneIntoTheirOwnClass) {
