@@ -8,11 +8,11 @@
 #include <string>
 #include <vector>
 
-#include "ftm/core/batched.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/cpu/peak.hpp"
 #include "ftm/kernelgen/generator.hpp"
 #include "ftm/kernelgen/microkernel.hpp"
+#include "ftm/runtime/runtime.hpp"
 #include "ftm/util/task_pool.hpp"
 #include "ftm/workload/generators.hpp"
 #include "harness.hpp"
@@ -644,9 +644,13 @@ void suite_sensitivity(Ctx& ctx) {
 }
 
 // Batched small irregular GEMMs (the paper's FEM / libxsmm motivation):
-// the batch-parallel scheduler against per-problem whole-cluster runs.
+// the batch-parallel scheduler (run_all on one cluster) against
+// per-problem whole-cluster runs.
 void suite_batched(Ctx& ctx) {
   FtimmEngine eng;
+  runtime::RuntimeOptions ro;
+  ro.clusters = 1;
+  runtime::GemmRuntime rt(ro, eng.machine());
   const FtimmOptions opt = timing();
   Table t({"batch", "M", "N", "K", "batched GFlops", "per-problem GFlops",
            "batch speedup"});
@@ -660,7 +664,7 @@ void suite_batched(Ctx& ctx) {
   for (const auto& c : cases) {
     std::vector<GemmInput> batch(c.batch,
                                  GemmInput::shape_only(c.m, c.n, c.k));
-    const core::BatchResult br = core::sgemm_batched(eng, batch, opt);
+    const core::BatchResult br = rt.run_all(batch, opt);
     std::uint64_t seq = 0;
     for (const auto& in : batch) seq += eng.sgemm(in, opt).cycles;
     const double seq_secs =

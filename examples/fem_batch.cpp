@@ -3,15 +3,15 @@
 // matrix GEMMs from fluid-dynamics FEM). Each element applies a small
 // dense operator to its nodal values; across a mesh this is thousands of
 // independent small GEMMs, far too small individually to fill a GPDSP
-// cluster. The batched scheduler runs them one core per problem, eight at
-// a time.
+// cluster. GemmRuntime::run_all on one cluster runs them one core per
+// problem, eight at a time.
 //
 //   ./fem_batch [--elements 2048] [--nodes 64] [--fields 8] [--quad 24]
 #include <cstdio>
 #include <vector>
 
-#include "ftm/core/batched.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
+#include "ftm/runtime/runtime.hpp"
 #include "ftm/util/cli.hpp"
 #include "ftm/util/prng.hpp"
 
@@ -53,8 +53,10 @@ int main(int argc, char** argv) {
         core::GemmInput::bound(d.view(), u[e].view(), uq[e].view()));
   }
 
-  core::FtimmEngine engine;
-  const core::BatchResult r = core::sgemm_batched(engine, batch);
+  runtime::RuntimeOptions ro;
+  ro.clusters = 1;
+  runtime::GemmRuntime rt(ro);
+  const core::BatchResult r = rt.run_all(batch);
   std::printf("batch makespan  : %.3f ms simulated (%llu cycles)\n",
               r.seconds * 1e3, static_cast<unsigned long long>(r.cycles));
   std::printf("throughput      : %.1f GFlops aggregate (%zu small + %zu "
@@ -62,6 +64,7 @@ int main(int argc, char** argv) {
               r.gflops, r.small_problems, r.wide_problems);
 
   // Compare against running each element GEMM with the full cluster.
+  core::FtimmEngine engine;
   core::FtimmOptions opt;
   opt.functional = false;
   std::uint64_t seq = 0;

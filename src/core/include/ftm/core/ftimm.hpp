@@ -83,11 +83,6 @@ class FtimmEngine {
   /// The TGEMM baseline (Algorithm 1) with its fixed blocks.
   GemmResult tgemm(const GemmInput& in, const FtimmOptions& opt = {});
 
-  /// Empirical auto-tuner: times every applicable strategy in timing-only
-  /// mode and runs the winner (functionally if requested). The analytic
-  /// dispatcher is the default; this is the measured alternative.
-  GemmResult sgemm_autotuned(const GemmInput& in, const FtimmOptions& opt = {});
-
   /// Installs (or clears, with nullptr) a tuned-plan source. plan()
   /// consults it for Strategy::Auto requests with dynamic blocks and
   /// falls back to the analytic path when it returns nullopt.

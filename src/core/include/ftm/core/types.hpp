@@ -78,10 +78,6 @@ struct FtimmOptions {
   /// of the run's own worker count — used by the batched scheduler, where
   /// other cores run *other* GEMMs concurrently.
   int bandwidth_share = 0;
-  /// Batched/runtime scheduling: flops at or above which one problem
-  /// occupies a whole cluster (and may be sharded across clusters) instead
-  /// of sharing it with other problems of the batch. Must be > 0.
-  double wide_problem_flops = 256.0 * 1024 * 1024;
   /// Host execution engine (docs/performance.md): when set, functional
   /// work (micro-kernel math, DMA byte copies) of different simulated
   /// cores runs on this pool's threads between barrier points. Purely a
@@ -150,7 +146,7 @@ struct GemmResult {
 void derive_rates(GemmResult& r, double flops, int cores,
                   const isa::MachineConfig& mc);
 
-/// What a batch of GEMMs cost (GemmRuntime::run_all, sgemm_batched): the
+/// What a batch of GEMMs cost (GemmRuntime::run_all): the
 /// members folded with add_parallel, with `cycles` the lane makespan —
 /// small members stack on shared lanes, so it can exceed the slowest
 /// member — and rates against every core of every cluster.

@@ -251,29 +251,4 @@ GemmResult FtimmEngine::tgemm(const GemmInput& in, const FtimmOptions& opt) {
   return run_tgemm(cluster_, *cache_, in, tblocks_, opt);
 }
 
-GemmResult FtimmEngine::sgemm_autotuned(const GemmInput& in,
-                                        const FtimmOptions& opt) {
-  // Dry-run the candidates in timing-only mode (cheap: no data movement),
-  // then execute the fastest with the caller's settings.
-  FtimmOptions dry = opt;
-  dry.functional = false;
-  GemmInput shape = GemmInput::shape_only(in.m, in.n, in.k);
-
-  Strategy best = Strategy::TGemm;
-  std::uint64_t best_cycles = ~std::uint64_t{0};
-  for (Strategy s :
-       {Strategy::ParallelM, Strategy::ParallelK, Strategy::TGemm}) {
-    dry.force = s;
-    FTM_TRACE_COUNTER("autotune.dry_runs", 1);
-    const GemmResult r = sgemm(shape, dry);
-    if (r.cycles < best_cycles) {
-      best_cycles = r.cycles;
-      best = s;
-    }
-  }
-  FtimmOptions run = opt;
-  run.force = best;
-  return sgemm(in, run);
-}
-
 }  // namespace ftm::core

@@ -199,7 +199,11 @@ GraphResult GraphExecutor::run(const Graph& g, const Bindings& bind) {
       }
       const TensorId root = alias_root(plan_, t);
       if (root == t) {
-        owned[ti] = std::make_unique<HostMatrix>(tn.rows, tn.cols);
+        // Uninitialised: its producer writes every element before any
+        // reader runs (the im2col gather and elementwise passes cover the
+        // whole output, and GEMM outputs get their own zero pass below).
+        owned[ti] = std::make_unique<HostMatrix>(
+            HostMatrix::uninitialized(tn.rows, tn.cols));
         views[ti] = owned[ti]->view();
       }
     }

@@ -32,9 +32,10 @@
 // Resilience: a node whose run_all throws ftm::FaultError is marked dead
 // and its cells re-shard round-robin onto the survivors (their partial
 // buffers are re-zeroed first, so re-execution yields the same bits).
-// When no node survives, gemm() throws FaultError(ClusterDead) — which
-// the host runtime's own resilience turns into retries / CPU fallback
-// when a NodeCluster is installed as its RuntimeOptions::nodes tier.
+// When no node survives, gemm() throws FaultError(ClusterDead).
+//
+// Callers reach the grid through gemm() directly; no GemmRuntime routes
+// work here, so the dependency runs one way: nodes on runtime.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,6 @@
 #include "ftm/fault/fault.hpp"
 #include "ftm/nodes/collectives.hpp"
 #include "ftm/nodes/interconnect.hpp"
-#include "ftm/runtime/node_tier.hpp"
 #include "ftm/runtime/runtime.hpp"
 #include "ftm/util/reporter.hpp"
 
@@ -71,7 +71,8 @@ struct NodeOptions {
   /// Template for every node's runtime. split_wide and batching are
   /// forced off inside nodes (the node layer owns sharding, and run_all
   /// needs the deterministic static schedule); everything else — cluster
-  /// count, resilience, tuning provider, host threads — applies per node.
+  /// count, wide_problem_flops, resilience, tuning provider, host
+  /// threads — applies per node.
   runtime::RuntimeOptions runtime;
   isa::MachineConfig machine = isa::default_machine();
   /// Per-node fault injectors (index = node id; missing/nullptr = none).
@@ -96,10 +97,9 @@ struct NodeResult : core::GemmResult {
   int resharded_tiles = 0;  ///< cells re-executed on survivors
 };
 
-class NodeCluster : public runtime::NodeTier {
+class NodeCluster {
  public:
   explicit NodeCluster(const NodeOptions& no = {});
-  ~NodeCluster() override;
 
   NodeCluster(const NodeCluster&) = delete;
   NodeCluster& operator=(const NodeCluster&) = delete;
@@ -110,10 +110,8 @@ class NodeCluster : public runtime::NodeTier {
   NodeResult gemm(const core::GemmInput& in);
   NodeResult gemm(const core::GemmInput& in, const core::FtimmOptions& opt);
 
-  // NodeTier interface (host-runtime dispatch path).
-  core::GemmResult run(const core::GemmInput& in,
-                       const core::FtimmOptions& opt) override;
-  int nodes() const override { return static_cast<int>(nodes_.size()); }
+  /// Total nodes in the grid (dead or alive).
+  int nodes() const { return static_cast<int>(nodes_.size()); }
 
   /// Marks a node dead (as if its next run_all had faulted) / revives it.
   void kill_node(int node);

@@ -94,8 +94,6 @@ NodeCluster::NodeCluster(const NodeOptions& no)
   }
 }
 
-NodeCluster::~NodeCluster() = default;
-
 std::vector<int> NodeCluster::alive_ids() const {
   std::vector<int> ids;
   for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
@@ -357,11 +355,6 @@ NodeResult NodeCluster::gemm(const core::GemmInput& in,
                          .count();
   last_ = res;
   return res;
-}
-
-core::GemmResult NodeCluster::run(const core::GemmInput& in,
-                                  const core::FtimmOptions& opt) {
-  return gemm(in, opt);  // the record without the per-phase breakdown
 }
 
 Table NodeCluster::report() const {

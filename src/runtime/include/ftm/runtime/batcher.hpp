@@ -1,10 +1,10 @@
 // Batcher — the shape-class coalescing buffer of the serving layer
 // (ISSUE 7, docs/serving.md).
 //
-// Coalescible requests (Normal/Bulk priority, below wide_problem_flops)
-// are held here, grouped by their tune::ShapeClass key plus the
-// plan-affecting FtimmOptions, and flushed as one batched dispatch when
-// any trigger fires:
+// Coalescible requests (Normal/Bulk priority, below
+// RuntimeOptions::wide_problem_flops) are held here, grouped by their
+// tune::ShapeClass key plus the plan-affecting FtimmOptions, and flushed
+// as one batched dispatch when any trigger fires:
 //
 //   size     — a class reaches BatchOptions::max_batch (checked in add(),
 //              so composition is deterministic under single-threaded

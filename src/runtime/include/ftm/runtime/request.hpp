@@ -87,10 +87,6 @@ struct Request {
   /// already staged the same A/B panel on the target cluster. Cleared on
   /// retry (a re-dispatch lands on a different cluster).
   std::uint64_t reuse_panel_bytes = 0;
-  /// Dispatch through RuntimeOptions::nodes (ISSUE 9): the whole problem
-  /// runs on the node tier's grid; lane clocks are not charged (the node
-  /// layer keeps its own clock domain) and retries re-enter the tier.
-  bool node_tier = false;
   // Resilience bookkeeping (ISSUE 3).
   /// The pending re-dispatch re-executes a block ABFT found damaged.
   bool recompute = false;

@@ -10,15 +10,16 @@
 //    requests bind to the least-loaded cluster and idle workers steal;
 //  * a shape-keyed plan cache: repeated shapes skip choose_strategy and
 //    block adjustment (plan_cache.hpp);
-//  * wide-problem splitting: a submission above wide_problem_flops is
-//    sharded row-wise across currently idle clusters and its future
-//    resolves with the merged result;
+//  * wide-problem splitting: a submission above
+//    RuntimeOptions::wide_problem_flops is sharded row-wise across
+//    currently idle clusters and its future resolves with the merged
+//    result;
 //  * shape-class coalescing + admission control (ISSUE 7, docs/serving.md):
 //    with BatchOptions::enabled, Normal/Bulk sub-wide requests are held
 //    briefly in a Batcher keyed by tune::ShapeClass and flushed (on
 //    size/age/pressure) as one batched dispatch — one plan lookup per
 //    distinct shape, shared-operand DMA panel reuse, members packed one
-//    core each across W lanes of one cluster (the sgemm_batched model).
+//    core each across W lanes of one cluster (the run_all model).
 //    QosOptions adds priority classes and per-request cycle deadlines
 //    that feed admission control; with BatchOptions::max_queue bounded,
 //    submit() resolves over-bound submissions with a typed
@@ -42,9 +43,12 @@
 // starting at their max — so a full-cluster GEMM is a barriered serial
 // phase and single-core requests pack like the batched scheduler's
 // per-core queues. makespan_cycles() is the max lane over all clusters;
-// run_all() resets the clocks and reports the batch makespan, which is
-// exactly the old sgemm_batched model when clusters == 1 (and
-// sgemm_batched is now implemented that way).
+// run_all() resets the clocks and reports the batch makespan. On one
+// cluster that is the batched scheduler of the paper's FEM motivation
+// (§I): wide problems serially on every core, small ones one core each.
+//
+// Every routing decision (split, batch, direct; wide or small in run_all)
+// is made here. The engine below only executes a strategy on one cluster.
 #pragma once
 
 #include <condition_variable>
@@ -67,8 +71,6 @@
 #include "ftm/util/task_pool.hpp"
 
 namespace ftm::runtime {
-
-class NodeTier;  // node_tier.hpp — multi-node scale-out hook (ISSUE 9)
 
 /// Self-healing knobs (all inert unless `enabled`). See
 /// docs/robustness.md for the retry/quarantine state machine and the
@@ -99,7 +101,10 @@ struct RuntimeOptions {
   core::FtimmOptions gemm;   ///< defaults for submit(in) / run_all
   bool work_stealing = true;
   bool split_wide = true;          ///< shard huge submissions (async path)
-  std::size_t split_min_rows = 512;  ///< min M rows per shard
+  /// Flops at or above which one problem is wide: it occupies a whole
+  /// cluster (and may be split across clusters) instead of coalescing or
+  /// sharing a cluster with the rest of a run_all batch. Must be > 0.
+  double wide_problem_flops = 256.0 * 1024 * 1024;
   bool keep_request_log = true;    ///< record per-request RequestStats
   ResilienceOptions resilience;    ///< self-healing layer (ISSUE 3)
   BatchOptions batching;           ///< coalescing + admission (ISSUE 7)
@@ -120,18 +125,6 @@ struct RuntimeOptions {
   /// pool, the pre-engine behavior). Never affects simulated cycles. A
   /// request whose FtimmOptions already carry a host_pool keeps it.
   int host_threads = 0;
-  /// Multi-node scale-out tier (ISSUE 9, docs/scaleout.md): when set, a
-  /// submission of at least node_problem_flops dispatches through this
-  /// tier (one sharded GEMM across a grid of modeled processors) instead
-  /// of the single-processor cluster/split paths. A FaultError thrown by
-  /// the tier (e.g. every node dead) flows through the normal resilience
-  /// path: retries, then host-CPU fallback. Shared so several runtimes
-  /// can front one node grid.
-  std::shared_ptr<NodeTier> nodes;
-  /// Flops at or above which a submission goes to the node tier. The
-  /// default (~8.6 GFlop, 33x the wide-problem bar) keeps everything a
-  /// single simulated processor handles well off the interconnect.
-  double node_problem_flops = 8.0 * 1024 * 1024 * 1024;
 };
 
 /// Outcome of try_submit(): the future (engaged iff accepted) or the
@@ -147,14 +140,10 @@ struct SubmitResult {
 class GemmRuntime {
  public:
   /// Owns `ro.clusters` engines (plus worker threads) on `mc` machines.
+  /// Invalid options (clusters < 1, wide_problem_flops not > 0, ...)
+  /// throw ContractViolation.
   explicit GemmRuntime(const RuntimeOptions& ro = {},
                        const isa::MachineConfig& mc = isa::default_machine());
-
-  /// Borrows caller-owned engines, one cluster each (sgemm_batched uses
-  /// this with a single engine). Callers must not touch the engines while
-  /// the runtime is live.
-  GemmRuntime(const std::vector<core::FtimmEngine*>& engines,
-              const RuntimeOptions& ro);
 
   /// Drains all pending requests, then joins the workers.
   ~GemmRuntime();
@@ -194,8 +183,8 @@ class GemmRuntime {
   void flush_batches();
 
   /// Blocking batch mode: schedules every problem (wide ones occupy whole
-  /// clusters, small ones pack one core each, exactly the sgemm_batched
-  /// policy generalized to N clusters), waits, and returns the batch
+  /// clusters, small ones pack one core each across W lanes with DDR
+  /// bandwidth shared W ways), waits, and returns the batch
   /// makespan. Resets the simulated clocks first; do not interleave with
   /// async submissions. If any problem fails, the first failure is
   /// rethrown — after every future has resolved, so no work is left in
@@ -239,28 +228,22 @@ class GemmRuntime {
   };
 
   struct ClusterState {
-    core::FtimmEngine* engine = nullptr;
+    std::unique_ptr<core::FtimmEngine> engine;
     std::vector<std::uint64_t> lanes;  ///< simulated per-core clocks
     std::uint64_t requests = 0;        ///< dispatches (incl. shards/steals)
     Health health;
   };
 
-  /// Where try_submit() sends an admitted request. Node-scale problems go
-  /// to the node tier; wide ones split across idle clusters; sub-wide
-  /// Normal/Bulk ones coalesce when batching is on; the rest bind directly
-  /// to the least-loaded cluster.
+  /// Where try_submit() sends an admitted request. Wide ones split across
+  /// idle clusters; sub-wide Normal/Bulk ones coalesce when batching is
+  /// on; the rest bind directly to the least-loaded cluster.
   struct Route {
-    enum Kind { Node, Split, Batch, Direct } kind = Direct;
+    enum Kind { Split, Batch, Direct } kind = Direct;
     std::vector<int> targets;  ///< Split: one shard per listed cluster
   };
 
   /// A RuntimeStats counter field (see count()).
   using Counter = std::uint64_t RuntimeStats::*;
-
-  /// The owning constructor lands here: `owned` keeps the engines alive
-  /// for the borrowing constructor it delegates to.
-  GemmRuntime(std::vector<std::unique_ptr<core::FtimmEngine>> owned,
-              const RuntimeOptions& ro);
 
   void flusher_loop();
   /// The batched dispatch: assigns one target cluster, computes the
@@ -275,8 +258,7 @@ class GemmRuntime {
   /// beyond the arrival plus the shape class's EWMA execution cycles.
   std::uint64_t predict_latency_cycles(const QosOptions& qos,
                                        const tune::ShapeClass& cls) const;
-  Route route(const core::GemmInput& in, const core::FtimmOptions& opt,
-              const QosOptions& qos) const;
+  Route route(const core::GemmInput& in, const QosOptions& qos) const;
   void worker_loop(int cluster);
   /// One dispatch: executes, then delivers / retries / falls back / fails.
   void process(int cluster, std::unique_ptr<Request> req, bool stolen);
@@ -332,8 +314,6 @@ class GemmRuntime {
   /// so it outlives them.
   std::unique_ptr<TaskPool> host_pool_;
   std::vector<ClusterState> clusters_;
-  /// Engines the runtime built itself (empty when borrowing).
-  std::vector<std::unique_ptr<core::FtimmEngine>> owned_;
   RequestQueue queue_;
   PlanCache plans_;
   std::vector<std::thread> workers_;

@@ -38,7 +38,6 @@ struct RequestStats : core::GemmResult {
   Priority priority = Priority::Normal;
   std::uint64_t arrival_cycle = 0;  ///< virtual arrival (QosOptions)
   std::uint64_t finish_cycle = 0;   ///< lane clock when the dispatch ended
-  bool node_dispatch = false;       ///< ran on the node tier (ISSUE 9)
   bool batched = false;             ///< dispatched as a batch member
   std::uint64_t batch_id = 0;       ///< flush order, 1-based; 0 = none
   int batch_size = 0;               ///< members in its batch at flush
@@ -54,7 +53,6 @@ struct RuntimeStats {
   std::uint64_t executed = 0;    ///< dispatches, including shards/retries
   // One plan hit or miss per cluster dispatch: a plan-cache hit or a batch
   // member's shared pre-plan is a hit, anything planned afresh a miss.
-  // Node-tier dispatches plan on their nodes and count as neither.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
   std::uint64_t tuned_plans = 0;  ///< dispatches that ran a tuned plan
@@ -82,8 +80,6 @@ struct RuntimeStats {
   std::uint64_t sdc_detected = 0;
   std::uint64_t sdc_corrected = 0;
   std::uint64_t recomputed_shards = 0;
-  /// Dispatches routed to the node tier (RuntimeOptions::nodes, ISSUE 9).
-  std::uint64_t node_dispatches = 0;
   std::vector<std::uint64_t> cluster_requests;     ///< dispatches per cluster
   /// Max lane clock per cluster.
   std::vector<std::uint64_t> cluster_busy_cycles;

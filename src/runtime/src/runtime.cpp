@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "ftm/cpu/cpu_gemm.hpp"
-#include "ftm/runtime/node_tier.hpp"
 #include "ftm/trace/trace.hpp"
 #include "ftm/util/stats.hpp"
 
@@ -212,30 +211,9 @@ std::size_t RequestQueue::pending() const {
 
 namespace {
 
-const isa::MachineConfig& first_machine(
-    const std::vector<core::FtimmEngine*>& engines) {
-  FTM_EXPECTS(!engines.empty() && engines.front() != nullptr);
-  return engines.front()->machine();
-}
-
-std::vector<std::unique_ptr<core::FtimmEngine>> make_engines(
-    int clusters, const isa::MachineConfig& mc) {
-  FTM_EXPECTS(clusters >= 1);
-  const auto kernels = std::make_shared<kernelgen::KernelCache>(mc);
-  std::vector<std::unique_ptr<core::FtimmEngine>> engines;
-  for (int c = 0; c < clusters; ++c) {
-    engines.push_back(std::make_unique<core::FtimmEngine>(mc, kernels));
-    engines.back()->cluster().set_id(c);
-  }
-  return engines;
-}
-
-std::vector<core::FtimmEngine*> raw_engines(
-    const std::vector<std::unique_ptr<core::FtimmEngine>>& owned) {
-  std::vector<core::FtimmEngine*> engines;
-  for (const auto& e : owned) engines.push_back(e.get());
-  return engines;
-}
+/// Fewest M rows a wide-problem shard gets: a request splits only when it
+/// has at least two shards' worth, and into at most m / kSplitMinRows.
+constexpr std::size_t kSplitMinRows = 512;
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -279,7 +257,6 @@ constexpr TraceTwin kTraceTwins[] = {
     {&RuntimeStats::sdc_detected, "integrity.detected"},
     {&RuntimeStats::sdc_corrected, "integrity.corrected"},
     {&RuntimeStats::recomputed_shards, "integrity.recomputed"},
-    {&RuntimeStats::node_dispatches, "runtime.node_dispatches"},
 };
 
 using TraceArgs = std::initializer_list<std::pair<const char*, std::uint64_t>>;
@@ -329,34 +306,22 @@ void note_batch_member_done(const Request& req) {
 
 GemmRuntime::GemmRuntime(const RuntimeOptions& ro,
                          const isa::MachineConfig& mc)
-    : GemmRuntime(make_engines(ro.clusters, mc), ro) {}
-
-GemmRuntime::GemmRuntime(
-    std::vector<std::unique_ptr<core::FtimmEngine>> owned,
-    const RuntimeOptions& ro)
-    : GemmRuntime(raw_engines(owned), ro) {
-  owned_ = std::move(owned);  // the workers only ever see the raw pointers
-}
-
-GemmRuntime::GemmRuntime(const std::vector<core::FtimmEngine*>& engines,
-                         const RuntimeOptions& ro)
-    : ro_(ro),
-      mc_(first_machine(engines)),
-      queue_(static_cast<int>(engines.size())) {
-  ro_.clusters = static_cast<int>(engines.size());
+    : ro_(ro), mc_(mc), queue_(ro.clusters) {
   validate_resilience(ro_.resilience);
-  clusters_.resize(engines.size());
-  for (std::size_t c = 0; c < engines.size(); ++c) {
-    FTM_EXPECTS(engines[c] != nullptr);
-    clusters_[c].engine = engines[c];
-    if (ro_.fault_injector != nullptr) {
-      clusters_[c].engine->cluster().set_fault_injector(ro_.fault_injector);
-    }
-    if (ro_.tuning) clusters_[c].engine->set_plan_provider(ro_.tuning);
-    clusters_[c].lanes.assign(static_cast<std::size_t>(mc_.cores_per_cluster),
-                              0);
-  }
+  FTM_EXPECTS(ro_.wide_problem_flops > 0);  // false for NaN too
   FTM_EXPECTS(ro_.host_threads >= 0);
+  const auto kernels = std::make_shared<kernelgen::KernelCache>(mc_);
+  clusters_.resize(static_cast<std::size_t>(ro_.clusters));
+  for (int c = 0; c < clusters(); ++c) {
+    ClusterState& cs = clusters_[static_cast<std::size_t>(c)];
+    cs.engine = std::make_unique<core::FtimmEngine>(mc_, kernels);
+    cs.engine->cluster().set_id(c);
+    if (ro_.fault_injector != nullptr) {
+      cs.engine->cluster().set_fault_injector(ro_.fault_injector);
+    }
+    if (ro_.tuning) cs.engine->set_plan_provider(ro_.tuning);
+    cs.lanes.assign(static_cast<std::size_t>(mc_.cores_per_cluster), 0);
+  }
   unsigned threads = static_cast<unsigned>(ro_.host_threads);
   if (threads == 0) {
     threads = std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
@@ -451,7 +416,6 @@ void GemmRuntime::worker_loop(int cluster) {
 
 void GemmRuntime::validate(const core::FtimmOptions& opt) const {
   FTM_EXPECTS(opt.cores >= 1 && opt.cores <= mc_.cores_per_cluster);
-  FTM_EXPECTS(opt.wide_problem_flops > 0);
 }
 
 std::uint64_t GemmRuntime::count(Counter field, std::uint64_t delta,
@@ -543,14 +507,13 @@ SubmitResult GemmRuntime::try_submit(const core::GemmInput& in,
     count(&RuntimeStats::rejected);
     return sr;
   }
-  const Route to = route(in, opt, qos);
+  const Route to = route(in, qos);
   count(&RuntimeStats::submitted);
   if (to.kind == Route::Split) {
     sr.future = submit_split(in, opt, qos, to.targets);
     return sr;
   }
   auto r = make_request(in, opt, qos);
-  r->node_tier = to.kind == Route::Node;
   sr.future = r->promise.get_future();
   if (to.kind == Route::Batch) {
     if (auto flush = batcher_->add(std::move(r))) {
@@ -558,10 +521,8 @@ SubmitResult GemmRuntime::try_submit(const core::GemmInput& in,
     }
     return sr;
   }
-  // Node and Direct: bind to the least-loaded cluster's queue. A node-tier
-  // request still flows through a worker so ordering, stats, resilience
-  // (retry -> CPU fallback) and future semantics are unchanged. Latency
-  // requests jump their cluster's FIFO.
+  // Direct: bind to the least-loaded cluster's queue. Latency requests
+  // jump their cluster's FIFO.
   r->bound_cluster = queue_.least_loaded();
   const int target = r->bound_cluster;
   queue_.push(target, std::move(r), qos.priority == Priority::Latency);
@@ -569,19 +530,11 @@ SubmitResult GemmRuntime::try_submit(const core::GemmInput& in,
 }
 
 GemmRuntime::Route GemmRuntime::route(const core::GemmInput& in,
-                                      const core::FtimmOptions& opt,
                                       const QosOptions& qos) const {
-  // Problems at node scale bypass both wide-splitting and batching: the
-  // node tier owns sharding.
-  if (ro_.nodes != nullptr && in.flops() >= ro_.node_problem_flops) {
-    return {Route::Node, {}};
-  }
-  const bool wide = in.flops() >= opt.wide_problem_flops;
-  if (ro_.split_wide && clusters() > 1 && wide &&
-      in.m >= 2 * ro_.split_min_rows) {
+  const bool wide = in.flops() >= ro_.wide_problem_flops;
+  if (ro_.split_wide && clusters() > 1 && wide && in.m >= 2 * kSplitMinRows) {
     std::vector<int> idle = queue_.idle_clusters();
-    const std::size_t max_shards =
-        ro_.split_min_rows > 0 ? in.m / ro_.split_min_rows : in.m;
+    const std::size_t max_shards = in.m / kSplitMinRows;
     if (idle.size() > max_shards) idle.resize(max_shards);
     if (idle.size() >= 2) return {Route::Split, std::move(idle)};
   }
@@ -695,8 +648,8 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
   group->trigger = flush.trigger;
   group->remaining.store(n, std::memory_order_relaxed);
   // Packing width: members run one core each across W shared lanes of one
-  // cluster with DDR bandwidth shared W ways — the sgemm_batched model
-  // run_all() uses for its small phase.
+  // cluster with DDR bandwidth shared W ways — the model run_all() uses
+  // for its small phase.
   const int W = std::min(
       n, std::min(ro_.batching.max_batch, mc_.cores_per_cluster));
   group->width = n >= 2 ? W : 0;
@@ -750,14 +703,6 @@ void GemmRuntime::dispatch_batch(Batcher::Flush flush) {
 
 core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
                                              RequestStats& rs) {
-  if (req.node_tier) {
-    // Node-tier dispatch: the whole problem runs on the grid of modeled
-    // processors. No plan lookup here (hit or miss) — each node's own
-    // runtime keeps its own cache.
-    rs.node_dispatch = true;
-    count(&RuntimeStats::node_dispatches);
-    return ro_.nodes->run(req.in, req.opt);
-  }
   ClusterState& cs = clusters_[static_cast<std::size_t>(cluster)];
   core::GemmPlan plan;
   if (req.preplanned != nullptr) {
@@ -882,20 +827,12 @@ void GemmRuntime::process(int cluster, std::unique_ptr<Request> req,
     ++cs.requests;
     if (ok) {
       cs.health.consecutive = 0;  // a success closes the breaker's count
-      if (req->node_tier) {
-        // Node-tier cycles live in the node layer's clock domain: do not
-        // charge host-cluster lanes, and keep them out of the per-class
-        // EWMA that predicts *cluster* latency for admission.
-        rs.finish_cycle = req->arrival_cycle + result.cycles;
-      } else {
-        rs.finish_cycle = charge_lanes(cs, *req, result.cycles);
-        // Per-shape-class EWMA of successful execution cycles; the
-        // deadline admission's execution estimate
-        // (predict_latency_cycles).
-        double& e = class_cycles_[req->cls];
-        e = e == 0 ? static_cast<double>(result.cycles)
-                   : 0.7 * e + 0.3 * static_cast<double>(result.cycles);
-      }
+      rs.finish_cycle = charge_lanes(cs, *req, result.cycles);
+      // Per-shape-class EWMA of successful execution cycles; the deadline
+      // admission's execution estimate (predict_latency_cycles).
+      double& e = class_cycles_[req->cls];
+      e = e == 0 ? static_cast<double>(result.cycles)
+                 : 0.7 * e + 0.3 * static_cast<double>(result.cycles);
     }
   }
   if (ok) {
@@ -1213,7 +1150,7 @@ core::BatchResult GemmRuntime::run_all(
   std::vector<std::size_t> wide, small;
   for (std::size_t i = 0; i < problems.size(); ++i) {
     br.flops += problems[i].flops();
-    if (problems[i].flops() >= opt.wide_problem_flops && opt.cores > 1) {
+    if (problems[i].flops() >= ro_.wide_problem_flops && opt.cores > 1) {
       wide.push_back(i);
     } else {
       small.push_back(i);
@@ -1250,7 +1187,7 @@ core::BatchResult GemmRuntime::run_all(
 
   // Small problems run one core each, round-robin over clusters; each
   // cluster packs its share onto W lanes with DDR bandwidth shared W ways
-  // (W = min(cores, smalls on that cluster) — the sgemm_batched model).
+  // (W = min(cores, smalls on that cluster)).
   std::vector<std::size_t> small_count(static_cast<std::size_t>(NC), 0);
   for (std::size_t idx = 0; idx < small.size(); ++idx) {
     ++small_count[idx % static_cast<std::size_t>(NC)];

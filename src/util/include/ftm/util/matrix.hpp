@@ -109,7 +109,11 @@ class ConstMatrixView {
 class HostMatrix {
  public:
   HostMatrix() = default;
+  /// Zero-filled.
   HostMatrix(std::size_t rows, std::size_t cols);
+  /// Left uninitialised, for a buffer the caller writes in full before
+  /// reading it (it skips the zero-fill pass).
+  static HostMatrix uninitialized(std::size_t rows, std::size_t cols);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -13,6 +13,16 @@ HostMatrix::HostMatrix(std::size_t rows, std::size_t cols)
   }
 }
 
+HostMatrix HostMatrix::uninitialized(std::size_t rows, std::size_t cols) {
+  HostMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  if (rows * cols > 0) {
+    m.data_.reset(new (std::align_val_t{64}) float[rows * cols]);
+  }
+  return m;
+}
+
 void HostMatrix::fill(float v) {
   std::fill_n(data_.get(), rows_ * cols_, v);
 }

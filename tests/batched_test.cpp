@@ -1,21 +1,40 @@
+// The batched scheduler of the paper's FEM motivation (§I): run_all on a
+// one-cluster GemmRuntime. Wide problems run serially on every core, small
+// ones one core each over W lanes with DDR bandwidth shared W ways.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
 #include <vector>
 
-#include "ftm/core/batched.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
+#include "ftm/runtime/runtime.hpp"
 #include "ftm/workload/generators.hpp"
 
 namespace ftm::core {
 namespace {
 
+/// Reference engine for the per-problem cycles a batch is compared with.
 FtimmEngine& engine() {
   static FtimmEngine e;
   return e;
 }
 
+runtime::RuntimeOptions one_cluster() {
+  runtime::RuntimeOptions ro;
+  ro.clusters = 1;
+  return ro;
+}
+
+BatchResult batched(std::span<const GemmInput> inputs,
+                    const FtimmOptions& opt = {},
+                    const runtime::RuntimeOptions& ro = one_cluster()) {
+  runtime::GemmRuntime rt(ro);
+  return rt.run_all(inputs, opt);
+}
+
 TEST(Batched, EmptyBatchIsZero) {
-  const BatchResult r = sgemm_batched(engine(), {});
+  const BatchResult r = batched({});
   EXPECT_EQ(r.cycles, 0u);
   EXPECT_EQ(r.problems, 0u);
 }
@@ -41,7 +60,7 @@ TEST(Batched, EveryProblemComputedCorrectly) {
   for (auto& p : probs) {
     inputs.push_back(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()));
   }
-  const BatchResult r = sgemm_batched(engine(), inputs);
+  const BatchResult r = batched(inputs);
   EXPECT_EQ(r.problems, probs.size());
   EXPECT_GT(r.cycles, 0u);
   for (std::size_t i = 0; i < probs.size(); ++i) {
@@ -57,7 +76,7 @@ TEST(Batched, SmallProblemsClassifiedSmall) {
     inputs.push_back(GemmInput::shape_only(128, 16, 16));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = batched(inputs, opt);
   EXPECT_EQ(r.small_problems, 16u);
   EXPECT_EQ(r.wide_problems, 0u);
 }
@@ -66,7 +85,7 @@ TEST(Batched, LargeProblemsRunWide) {
   std::vector<GemmInput> inputs{GemmInput::shape_only(20480, 96, 4096)};
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = batched(inputs, opt);
   EXPECT_EQ(r.wide_problems, 1u);
 }
 
@@ -79,10 +98,10 @@ TEST(Batched, BatchParallelBeatsSequentialWide) {
     inputs.push_back(GemmInput::shape_only(256, 16, 16));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult batched = sgemm_batched(engine(), inputs, opt);
+  const BatchResult batch = batched(inputs, opt);
   std::uint64_t sequential = 0;
   for (const auto& in : inputs) sequential += engine().sgemm(in, opt).cycles;
-  EXPECT_LT(batched.cycles, sequential);
+  EXPECT_LT(batch.cycles, sequential);
 }
 
 TEST(Batched, MakespanScalesDownWithCores) {
@@ -92,9 +111,9 @@ TEST(Batched, MakespanScalesDownWithCores) {
   FtimmOptions opt;
   opt.functional = false;
   opt.cores = 1;
-  const BatchResult c1 = sgemm_batched(engine(), inputs, opt);
+  const BatchResult c1 = batched(inputs, opt);
   opt.cores = 8;
-  const BatchResult c8 = sgemm_batched(engine(), inputs, opt);
+  const BatchResult c8 = batched(inputs, opt);
   EXPECT_LT(c8.cycles, c1.cycles);
   // Bandwidth-shared, so under 8x; but meaningfully parallel.
   EXPECT_GT(static_cast<double>(c1.cycles) / c8.cycles, 1.5);
@@ -106,7 +125,7 @@ TEST(Batched, AllWideBatchRunsSerially) {
   std::vector<GemmInput> inputs(3, GemmInput::shape_only(20480, 96, 2048));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = batched(inputs, opt);
   EXPECT_EQ(r.wide_problems, 3u);
   EXPECT_EQ(r.small_problems, 0u);
   std::uint64_t serial = 0;
@@ -120,7 +139,7 @@ TEST(Batched, AllSmallMoreProblemsThanCores) {
   std::vector<GemmInput> inputs(20, GemmInput::shape_only(256, 16, 16));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = batched(inputs, opt);
   EXPECT_EQ(r.small_problems, 20u);
   FtimmOptions sub = opt;
   sub.cores = 1;
@@ -140,7 +159,7 @@ TEST(Batched, MixedMakespanIsWidePhasePlusLongestLane) {
   inputs.push_back(GemmInput::shape_only(24576, 96, 2048));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = batched(inputs, opt);
   EXPECT_EQ(r.wide_problems, 2u);
   EXPECT_EQ(r.small_problems, 13u);
   const std::uint64_t wide_phase =
@@ -155,13 +174,11 @@ TEST(Batched, MixedMakespanIsWidePhasePlusLongestLane) {
 }
 
 TEST(Batched, RejectsNonPositiveWideThreshold) {
-  std::vector<GemmInput> inputs{GemmInput::shape_only(64, 8, 8)};
-  FtimmOptions opt;
-  opt.functional = false;
-  opt.wide_problem_flops = 0;
-  EXPECT_THROW(sgemm_batched(engine(), inputs, opt), ContractViolation);
-  opt.wide_problem_flops = -128;
-  EXPECT_THROW(sgemm_batched(engine(), inputs, opt), ContractViolation);
+  runtime::RuntimeOptions ro = one_cluster();
+  for (const double bad : {0.0, -128.0, std::nan("")}) {
+    ro.wide_problem_flops = bad;
+    EXPECT_THROW(runtime::GemmRuntime{ro}, ContractViolation) << bad;
+  }
 }
 
 TEST(Batched, WideThresholdIsTunable) {
@@ -169,10 +186,11 @@ TEST(Batched, WideThresholdIsTunable) {
   std::vector<GemmInput> inputs(4, GemmInput::shape_only(512, 16, 32));
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult hi = sgemm_batched(engine(), inputs, opt);
+  const BatchResult hi = batched(inputs, opt);
   EXPECT_EQ(hi.small_problems, 4u);
-  opt.wide_problem_flops = 1024;  // everything is "wide" now
-  const BatchResult lo = sgemm_batched(engine(), inputs, opt);
+  runtime::RuntimeOptions ro = one_cluster();
+  ro.wide_problem_flops = 1024;  // everything is "wide" now
+  const BatchResult lo = batched(inputs, opt, ro);
   EXPECT_EQ(lo.wide_problems, 4u);
   EXPECT_EQ(lo.small_problems, 0u);
 }
@@ -186,7 +204,7 @@ TEST(Batched, AggregateFlopsAccounted) {
   }
   FtimmOptions opt;
   opt.functional = false;
-  const BatchResult r = sgemm_batched(engine(), inputs, opt);
+  const BatchResult r = batched(inputs, opt);
   EXPECT_DOUBLE_EQ(r.flops, flops);
   EXPECT_GT(r.gflops, 0);
 }

@@ -178,10 +178,10 @@ TEST(Failure, AsyncSubmitRejectsMalformedInputSynchronously) {
   bad.cores = 9;
   EXPECT_THROW(rt.submit(core::GemmInput::shape_only(64, 16, 16), bad),
                ContractViolation);
-  bad.cores = 8;
-  bad.wide_problem_flops = 0;
-  EXPECT_THROW(rt.submit(core::GemmInput::shape_only(64, 16, 16), bad),
-               ContractViolation);
+  // A bad wide threshold is a runtime option, refused at construction.
+  runtime::RuntimeOptions bad_ro = ro;
+  bad_ro.wide_problem_flops = 0;
+  EXPECT_THROW(runtime::GemmRuntime{bad_ro}, ContractViolation);
 
   // The runtime is unharmed: a valid submission still resolves.
   const core::GemmResult r =

@@ -3,8 +3,12 @@
 // engine lifecycle, resource accounting, and cross-strategy consistency.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ftm/core/ftimm.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
+#include "ftm/tune/tuner.hpp"
+#include "ftm/tune/tuning_cache.hpp"
 #include "ftm/workload/generators.hpp"
 #include "ftm/workload/sweeps.hpp"
 
@@ -223,10 +227,17 @@ TEST(Regression, TgemmWideNUsesMultipleCores) {
 }
 
 TEST(Autotuner, MatchesReferenceAndReportsStrategy) {
+  // The tuner's plan for a shape (strategy and block sizes raced in
+  // timing-only mode) runs functionally to the analytic plan's tolerance.
   workload::GemmProblem p = workload::make_problem(4096, 32, 32, 3);
   const HostMatrix expect = reference_of(p);
-  const GemmResult r = engine().sgemm_autotuned(
-      GemmInput::bound(p.a.view(), p.b.view(), p.c.view()));
+  auto cache = std::make_shared<tune::TuningCache>();
+  tune::Tuner().tune_into(*cache, {{p.m, p.n, p.k}});
+  FtimmEngine eng;
+  eng.set_plan_provider(cache);
+  ASSERT_TRUE(eng.plan(p.m, p.n, p.k).tuned);
+  const GemmResult r =
+      eng.sgemm(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()));
   EXPECT_NE(r.strategy, Strategy::Auto);
   EXPECT_LT(max_rel_diff(p.c.view(), expect.view()), gemm_tolerance(32));
 }

@@ -1,7 +1,7 @@
 // Multi-node scale-out layer (ISSUE 9, docs/scaleout.md): interconnect
 // cost model, the ring collectives' cost (including non-power-of-two
 // groups, pinned bit for bit), the 2-D sharder's bit-identity guarantee,
-// node-death re-sharding, and the NodeTier hook through the runtime.
+// and node-death re-sharding.
 #include <algorithm>
 #include <cstring>
 #include <numeric>
@@ -12,7 +12,6 @@
 #include "ftm/nodes/collectives.hpp"
 #include "ftm/nodes/interconnect.hpp"
 #include "ftm/nodes/scaleout.hpp"
-#include "ftm/runtime/runtime.hpp"
 #include "ftm/trace/trace.hpp"
 #include "ftm/workload/generators.hpp"
 
@@ -402,61 +401,4 @@ TEST(NodeCluster, ReportCoversEveryNode) {
   nodes::NodeCluster nc(small_options(3));
   nc.gemm(GemmInput::shape_only(96, 16, 144));
   EXPECT_EQ(nc.report().rows().size(), 3u);
-}
-
-// ---- NodeTier through the runtime ---------------------------------------
-
-TEST(NodeTier, RuntimeRoutesLargeProblemsToNodes) {
-  const workload::GemmProblem p = workload::make_problem(96, 16, 144);
-  HostMatrix ref(p.m, p.n);
-  std::copy(p.c.data(), p.c.data() + ref.size(), ref.data());
-  reference_gemm(p, ref.view());
-
-  runtime::RuntimeOptions ro;
-  ro.clusters = 2;
-  ro.nodes = std::make_shared<nodes::NodeCluster>(small_options(3));
-  ro.node_problem_flops = 1e5;  // 96x16x144 is ~4.4e5 flops: node scale
-  runtime::GemmRuntime rt(ro);
-
-  HostMatrix c(p.m, p.n);
-  std::copy(p.c.data(), p.c.data() + c.size(), c.data());
-  const core::GemmResult r =
-      rt.submit(GemmInput::bound(p.a.view(), p.b.view(), c.view())).get();
-  EXPECT_GT(r.cycles, 0u);
-  EXPECT_FALSE(r.cpu_fallback);
-  EXPECT_LE(max_rel_diff(c.view(), ref.view()), gemm_tolerance(p.k));
-  EXPECT_EQ(rt.stats().node_dispatches, 1u);
-  const auto log = rt.request_log();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_TRUE(log[0].node_dispatch);
-
-  // A sub-threshold problem stays on the local clusters.
-  core::FtimmOptions timing;
-  timing.functional = false;
-  rt.submit(GemmInput::shape_only(8, 8, 8), timing).get();
-  EXPECT_EQ(rt.stats().node_dispatches, 1u);
-}
-
-TEST(NodeTier, DeadGridFallsBackToHostCpu) {
-  auto grid = std::make_shared<nodes::NodeCluster>(small_options(2));
-  grid->kill_node(0);
-  grid->kill_node(1);
-  runtime::RuntimeOptions ro;
-  ro.clusters = 2;
-  ro.nodes = grid;
-  ro.node_problem_flops = 1e5;
-  ro.resilience.enabled = true;
-  ro.resilience.max_retries = 1;
-  runtime::GemmRuntime rt(ro);
-
-  const workload::GemmProblem p = workload::make_problem(96, 16, 144);
-  HostMatrix ref(p.m, p.n);
-  std::copy(p.c.data(), p.c.data() + ref.size(), ref.data());
-  reference_gemm(p, ref.view());
-  HostMatrix c(p.m, p.n);
-  std::copy(p.c.data(), p.c.data() + c.size(), c.data());
-  const core::GemmResult r =
-      rt.submit(GemmInput::bound(p.a.view(), p.b.view(), c.view())).get();
-  EXPECT_TRUE(r.cpu_fallback);
-  EXPECT_LE(max_rel_diff(c.view(), ref.view()), gemm_tolerance(p.k));
 }

@@ -3,7 +3,6 @@
 // timing identities on the DMA timeline, and CMR/blocking monotonicity.
 #include <gtest/gtest.h>
 
-#include "ftm/core/batched.hpp"
 #include "ftm/core/ftimm.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/sim/dma.hpp"

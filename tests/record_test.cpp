@@ -1,14 +1,12 @@
 // Every producer of a GemmResult passes the one record check
 // (record_check.hpp): the engine strategies, ABFT, dgemm, the half router,
-// the runtime's split merge, the node tier, CPU fallback and the batch
+// the runtime's split merge, the node grid, CPU fallback and the batch
 // record. Runtime results are also checked against their
 // request_log() row, which must carry the delivered result unchanged.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "ftm/core/batched.hpp"
 #include "ftm/core/dgemm.hpp"
 #include "ftm/core/hgemm.hpp"
 #include "ftm/fault/fault.hpp"
@@ -150,23 +148,17 @@ TEST(Record, RuntimeDispatchAndSplitShards) {
   expect_record(r, wide.flops(), opt.cores * 4, DType::F16);
 }
 
-TEST(Record, NodeTierKeepsTheRequestedDtype) {
+TEST(Record, NodeClusterKeepsTheRequestedDtype) {
   nodes::NodeOptions no;
   no.nodes = 2;
   no.runtime.clusters = 1;
   no.m_tile_rows = 1024;
   no.k_panel = 1024;
-  runtime::RuntimeOptions ro;
-  ro.clusters = 1;
-  ro.gemm = timing_only();
-  ro.nodes = std::make_shared<nodes::NodeCluster>(no);
-  ro.node_problem_flops = 1e6;
-  runtime::GemmRuntime rt(ro);
-  FtimmOptions opt = ro.gemm;
+  nodes::NodeCluster nc(no);
+  FtimmOptions opt = timing_only();
   opt.dtype = DType::F16;
   const GemmInput in = GemmInput::shape_only(2048, 64, 2048);
-  const GemmResult r = submit_logged(rt, in, opt);
-  ASSERT_EQ(rt.stats().node_dispatches, 1u);
+  const nodes::NodeResult r = nc.gemm(in, opt);
   // Against every core of every cluster of both nodes, at the F16 peak.
   expect_record(r, in.flops(),
                 no.machine.cores_per_cluster * no.runtime.clusters * 2,
@@ -209,9 +201,10 @@ TEST(Record, BatchRecord) {
   EXPECT_GT(br.kernel_calls, 0u);
   expect_record(br, br.flops, ro.clusters * opt.cores, DType::F32);
 
-  // sgemm_batched is run_all on one cluster, record and all.
-  core::FtimmEngine eng;
-  const core::BatchResult one = core::sgemm_batched(eng, batch, opt);
+  // On one cluster the record is the single lane makespan.
+  ro.clusters = 1;
+  runtime::GemmRuntime single(ro);
+  const core::BatchResult one = single.run_all(batch, opt);
   EXPECT_EQ(one.cluster_cycles.size(), 1u);
   EXPECT_EQ(one.cycles, one.cluster_cycles[0]);
   expect_record(one, one.flops, opt.cores, DType::F32);

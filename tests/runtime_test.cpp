@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <vector>
 
-#include "ftm/core/batched.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/fault/fault.hpp"
 #include "ftm/runtime/runtime.hpp"
@@ -130,8 +130,9 @@ TEST(Runtime, FourClusterMakespanBeatsSingleClusterBatched) {
   GemmRuntime rt(ro);
   const core::BatchResult multi = rt.run_all(inputs, opt);
 
-  FtimmEngine eng;
-  const core::BatchResult single = core::sgemm_batched(eng, inputs, opt);
+  ro.clusters = 1;
+  GemmRuntime one(ro);
+  const core::BatchResult single = one.run_all(inputs, opt);
 
   EXPECT_EQ(multi.problems, inputs.size());
   EXPECT_EQ(multi.wide_problems, 3u);
@@ -145,7 +146,6 @@ TEST(Runtime, FourClusterMakespanBeatsSingleClusterBatched) {
 TEST(Runtime, WideSubmissionSplitsAcrossIdleClusters) {
   RuntimeOptions ro;
   ro.clusters = 4;
-  ro.split_min_rows = 1024;
   ro.gemm.functional = false;
   GemmRuntime rt(ro);
 
@@ -166,8 +166,7 @@ TEST(Runtime, WideSubmissionSplitsAcrossIdleClusters) {
 TEST(Runtime, SplitFunctionalResultMatchesReference) {
   RuntimeOptions ro;
   ro.clusters = 4;
-  ro.split_min_rows = 512;
-  ro.gemm.wide_problem_flops = 1e6;  // force the split on a modest shape
+  ro.wide_problem_flops = 1e6;  // force the split on a modest shape
   GemmRuntime rt(ro);
 
   workload::GemmProblem p = workload::make_problem(4096, 32, 64, 1234);
@@ -196,8 +195,7 @@ TEST(Runtime, SplitShardFaultFailsGroupTypedWhenFailFast) {
   fault::FaultInjector fi(plan);
   RuntimeOptions ro;
   ro.clusters = 4;
-  ro.split_min_rows = 512;
-  ro.gemm.wide_problem_flops = 1e6;
+  ro.wide_problem_flops = 1e6;
   ro.work_stealing = false;  // pin each shard to its idle-cluster target
   ro.fault_injector = &fi;
   GemmRuntime rt(ro);
@@ -224,8 +222,7 @@ TEST(Runtime, SplitShardFaultIsRedispatchedWhenResilient) {
   fault::FaultInjector fi(plan);
   RuntimeOptions ro;
   ro.clusters = 4;
-  ro.split_min_rows = 512;
-  ro.gemm.wide_problem_flops = 1e6;
+  ro.wide_problem_flops = 1e6;
   ro.work_stealing = false;
   ro.fault_injector = &fi;
   ro.resilience.enabled = true;
@@ -295,8 +292,7 @@ TEST(Runtime, SplitHalfRequestMergesDtypeAndShardAccounting) {
 TEST(Runtime, SplitMergeSumsShardChecksums) {
   RuntimeOptions ro;
   ro.clusters = 4;
-  ro.split_min_rows = 512;
-  ro.gemm.wide_problem_flops = 1e6;
+  ro.wide_problem_flops = 1e6;
   ro.integrity = core::IntegrityMode::Verify;
   GemmRuntime rt(ro);
   workload::GemmProblem p = workload::make_problem(4096, 32, 64, 21);
@@ -512,17 +508,13 @@ TEST(RequestQueue, WaitStopForWakesOnShutdown) {
 // --- option validation and error propagation -------------------------------
 
 TEST(Runtime, RejectsNonPositiveWideThreshold) {
+  // The threshold is validated once, when the runtime is built.
   RuntimeOptions ro;
   ro.clusters = 1;
-  GemmRuntime rt(ro);
-  FtimmOptions opt;
-  opt.functional = false;
-  opt.wide_problem_flops = 0;
-  EXPECT_THROW(rt.submit(GemmInput::shape_only(64, 8, 8), opt),
-               ContractViolation);
-  opt.wide_problem_flops = -1;
-  std::vector<GemmInput> one{GemmInput::shape_only(64, 8, 8)};
-  EXPECT_THROW(rt.run_all(one, opt), ContractViolation);
+  for (const double bad : {0.0, -1.0, std::nan("")}) {
+    ro.wide_problem_flops = bad;
+    EXPECT_THROW(GemmRuntime{ro}, ContractViolation) << bad;
+  }
 }
 
 TEST(Runtime, WorkerExceptionsPropagateThroughFuture) {

@@ -362,17 +362,6 @@ TEST(Dispatcher, AutoRunsAndMatchesReference) {
   }
 }
 
-TEST(Dispatcher, AutotunerPicksNoWorseThanAnalytic) {
-  const Shape s{4096, 32, 32};
-  FtimmOptions opt;
-  opt.functional = false;
-  const GemmResult analytic =
-      engine().sgemm(GemmInput::shape_only(s.m, s.n, s.k), opt);
-  const GemmResult tuned =
-      engine().sgemm_autotuned(GemmInput::shape_only(s.m, s.n, s.k), opt);
-  EXPECT_LE(tuned.cycles, analytic.cycles);
-}
-
 // --- Performance-shape assertions (the paper's headline claims) -----------
 
 TEST(Performance, FtimmBeatsTgemmOnTallSkinny) {

@@ -553,7 +553,6 @@ TEST(RuntimeCounters, StatsAgreeWithTraceTwins) {
       {&RuntimeStats::sdc_detected, "integrity.detected"},
       {&RuntimeStats::sdc_corrected, "integrity.corrected"},
       {&RuntimeStats::recomputed_shards, "integrity.recomputed"},
-      {&RuntimeStats::node_dispatches, "runtime.node_dispatches"},
   };
   RuntimeStats total;
   const auto add = [&](const runtime::GemmRuntime& rt) {
