@@ -136,8 +136,9 @@ struct FaultPlan {
 /// Executes a FaultPlan at the simulator's hook points. Thread contract:
 /// on_dma()/check_alive() for cluster c are called only from the thread
 /// currently driving cluster c (each cluster has its own PRNG stream);
-/// set_dead()/set_stall() and the counters are atomic and may be used
-/// from any thread (the runtime's health prober and tests use them).
+/// set_dead() and the counters are atomic and may be used from any thread
+/// (the runtime's health prober and tests use them). Stall multipliers are
+/// fixed by the plan (ClusterFaults::stall_multiplier) at construction.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
@@ -178,7 +179,6 @@ class FaultInjector {
   bool dead(int cluster) const;
   /// Kill or revive a cluster at runtime (chaos recovery scenarios).
   void set_dead(int cluster, bool dead);
-  void set_stall(int cluster, double multiplier);
 
   /// Total injections of `k` so far (atomic snapshot).
   std::uint64_t injected(FaultKind k) const;
@@ -190,7 +190,7 @@ class FaultInjector {
   struct ClusterState {
     Prng prng;
     std::atomic<bool> dead{false};
-    std::atomic<double> stall{1.0};
+    double stall = 1.0;  ///< fixed by the plan at construction
     ClusterFaults rates;  ///< static per-transfer rates from the plan
   };
 

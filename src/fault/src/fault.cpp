@@ -74,8 +74,7 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
     if (c < plan_.clusters.size()) {
       s->rates = plan_.clusters[c];
       s->dead.store(plan_.clusters[c].dead, std::memory_order_relaxed);
-      s->stall.store(std::max(1.0, plan_.clusters[c].stall_multiplier),
-                     std::memory_order_relaxed);
+      s->stall = std::max(1.0, plan_.clusters[c].stall_multiplier);
     }
     clusters_.push_back(std::move(s));
   }
@@ -165,7 +164,7 @@ std::optional<FaultInjector::Corruption> FaultInjector::on_store(
 }
 
 double FaultInjector::stall_multiplier(int cluster) const {
-  return state(cluster).stall.load(std::memory_order_relaxed);
+  return state(cluster).stall;
 }
 
 void FaultInjector::note_stalled_run(int cluster) {
@@ -178,11 +177,6 @@ bool FaultInjector::dead(int cluster) const {
 
 void FaultInjector::set_dead(int cluster, bool dead) {
   state(cluster).dead.store(dead, std::memory_order_relaxed);
-}
-
-void FaultInjector::set_stall(int cluster, double multiplier) {
-  FTM_EXPECTS(multiplier >= 1.0);
-  state(cluster).stall.store(multiplier, std::memory_order_relaxed);
 }
 
 std::uint64_t FaultInjector::injected(FaultKind k) const {

@@ -151,7 +151,6 @@ Instr make_slddw(std::uint8_t dst, std::uint8_t abase, std::int32_t off);
 Instr make_smovi(std::uint8_t dst, std::int32_t imm);
 Instr make_saddi(std::uint8_t dst, std::uint8_t src1, std::int32_t imm);
 Instr make_sfexts32l(std::uint8_t dst, std::uint8_t src1);
-Instr make_sbale2h(std::uint8_t dst, std::uint8_t lo, std::uint8_t hi);
 Instr make_svbcast(std::uint8_t vdst, std::uint8_t ssrc);
 Instr make_svbcast2(std::uint8_t vdst, std::uint8_t ssrc);
 Instr make_svbcastd(std::uint8_t vdst, std::uint8_t ssrc);
@@ -165,7 +164,6 @@ Instr make_vadds32(std::uint8_t vdst, std::uint8_t va, std::uint8_t vb);
 Instr make_vfmulad64(std::uint8_t vacc, std::uint8_t va, std::uint8_t vb);
 Instr make_vaddd64(std::uint8_t vdst, std::uint8_t va, std::uint8_t vb);
 Instr make_vldh(std::uint8_t vdst, std::uint8_t abase, std::int32_t off);
-Instr make_vsth(std::uint8_t vsrc, std::uint8_t abase, std::int32_t off);
 /// `bf16` selects the half format widened by the dot-product (imm field).
 Instr make_vfmulah32(std::uint8_t vacc, std::uint8_t va, std::uint8_t vb,
                      bool bf16);

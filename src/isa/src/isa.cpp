@@ -335,14 +335,6 @@ Instr make_sfexts32l(std::uint8_t dst, std::uint8_t src1) {
   return in;
 }
 
-Instr make_sbale2h(std::uint8_t dst, std::uint8_t lo, std::uint8_t hi) {
-  Instr in = base(Opcode::SBALE2H);
-  in.dst = dst;
-  in.src1 = lo;
-  in.src2 = hi;
-  return in;
-}
-
 Instr make_svbcast(std::uint8_t vdst, std::uint8_t ssrc) {
   Instr in = base(Opcode::SVBCAST);
   in.dst = vdst;
@@ -441,14 +433,6 @@ Instr make_vaddd64(std::uint8_t vdst, std::uint8_t va, std::uint8_t vb) {
 Instr make_vldh(std::uint8_t vdst, std::uint8_t abase, std::int32_t off) {
   Instr in = base(Opcode::VLDH);
   in.dst = vdst;
-  in.abase = abase;
-  in.imm = off;
-  return in;
-}
-
-Instr make_vsth(std::uint8_t vsrc, std::uint8_t abase, std::int32_t off) {
-  Instr in = base(Opcode::VSTH);
-  in.src1 = vsrc;
   in.abase = abase;
   in.imm = off;
   return in;

@@ -113,9 +113,8 @@ class NodeCluster {
   /// Total nodes in the grid (dead or alive).
   int nodes() const { return static_cast<int>(nodes_.size()); }
 
-  /// Marks a node dead (as if its next run_all had faulted) / revives it.
+  /// Marks a node dead (as if its next run_all had faulted).
   void kill_node(int node);
-  void revive_node(int node);
   bool alive(int node) const;
   int alive_nodes() const;
 

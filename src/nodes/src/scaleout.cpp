@@ -112,12 +112,6 @@ void NodeCluster::kill_node(int node) {
   }
 }
 
-void NodeCluster::revive_node(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FTM_EXPECTS(node >= 0 && node < static_cast<int>(nodes_.size()));
-  nodes_[static_cast<std::size_t>(node)].alive = true;
-}
-
 bool NodeCluster::alive(int node) const {
   std::lock_guard<std::mutex> lock(mu_);
   FTM_EXPECTS(node >= 0 && node < static_cast<int>(nodes_.size()));
@@ -180,8 +174,9 @@ NodeResult NodeCluster::gemm(const core::GemmInput& in,
       c.node = ids[static_cast<std::size_t>((ti % grid_p) * grid_q +
                                             (kj % grid_q))];
       if (functional) {
-        c.partial = HostMatrix(tile_span(in.m, no_.m_tile_rows, ti).len,
-                               in.n);
+        // Zeroed by phase 2 before every execution, re-shards included.
+        c.partial = HostMatrix::uninitialized(
+            tile_span(in.m, no_.m_tile_rows, ti).len, in.n);
       }
       cells.push_back(std::move(c));
     }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ftm/isa/machine.hpp"
 #include "ftm/sim/scratchpad.hpp"

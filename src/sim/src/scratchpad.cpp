@@ -1,11 +1,54 @@
 #include "ftm/sim/scratchpad.hpp"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <new>
+
+// Under AddressSanitizer the bytes outside every allocated region are
+// poisoned, so an access past a region (but inside the capacity, where the
+// bounds checks cannot see it) is reported.
+#if defined(__SANITIZE_ADDRESS__)
+#define FTM_SCRATCHPAD_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FTM_SCRATCHPAD_ASAN 1
+#endif
+#endif
+
+#ifdef FTM_SCRATCHPAD_ASAN
+#include <sanitizer/asan_interface.h>
+#define FTM_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define FTM_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define FTM_POISON(p, n) ((void)(p), (void)(n))
+#define FTM_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace ftm::sim {
 
+namespace {
+
+std::uint8_t* map_zeroed(std::size_t len) {
+  if (len == 0) return nullptr;
+  void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::uint8_t*>(p);
+}
+
+}  // namespace
+
+void Scratchpad::Unmap::operator()(std::uint8_t* p) const {
+  FTM_UNPOISON(p, len);
+  ::munmap(p, len);
+}
+
 Scratchpad::Scratchpad(std::string name, std::size_t capacity_bytes)
-    : name_(std::move(name)), bytes_(capacity_bytes, 0) {}
+    : name_(std::move(name)),
+      bytes_(map_zeroed(capacity_bytes), Unmap{capacity_bytes}) {
+  FTM_POISON(bytes_.get(), capacity());
+}
 
 Region Scratchpad::alloc(std::size_t bytes) {
   const std::size_t aligned = (top_ + 63) & ~std::size_t{63};
@@ -16,19 +59,23 @@ Region Scratchpad::alloc(std::size_t bytes) {
                             std::to_string(capacity()));
   }
   top_ = aligned + bytes;
+  FTM_UNPOISON(bytes_.get() + aligned, bytes);
   return Region{aligned, bytes};
 }
 
-void Scratchpad::reset() { top_ = 0; }
+void Scratchpad::reset() {
+  top_ = 0;
+  FTM_POISON(bytes_.get(), capacity());
+}
 
 std::uint8_t* Scratchpad::raw(std::size_t offset, std::size_t len) {
   FTM_EXPECTS(offset + len <= capacity());
-  return bytes_.data() + offset;
+  return bytes_.get() + offset;
 }
 
 const std::uint8_t* Scratchpad::raw(std::size_t offset, std::size_t len) const {
   FTM_EXPECTS(offset + len <= capacity());
-  return bytes_.data() + offset;
+  return bytes_.get() + offset;
 }
 
 float* Scratchpad::f32(std::size_t byte_offset, std::size_t count) {

@@ -205,7 +205,9 @@ void run_equivalence_case(std::uint64_t seed, int n) {
     core.reset_registers();
     core.sregs().v[0] = 0;  // SM base for scalar loads
     core.sregs().v[1] = 0;  // AM base for vector loads
-    // Deterministic memory contents.
+    // Deterministic memory contents in one 4 KiB region of each pad.
+    core.sm().alloc(1024 * 4);
+    core.am().alloc(1024 * 4);
     for (int i = 0; i < 1024; ++i) {
       float v = static_cast<float>((i * 2654435761u) % 1000) * 0.001f;
       std::memcpy(core.sm().raw(i * 4, 4), &v, 4);

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <memory>
+#include <type_traits>
+#include <vector>
+
+#include <unistd.h>
 
 #include "ftm/sim/cluster.hpp"
 #include "ftm/sim/core.hpp"
@@ -49,6 +55,42 @@ TEST(Scratchpad, BoundsCheckedAccess) {
   EXPECT_THROW(sp.raw(64, 65), ContractViolation);
   EXPECT_THROW(sp.f32(2, 1), ContractViolation);  // misaligned
 }
+
+static_assert(!std::is_copy_constructible_v<Scratchpad>,
+              "a Scratchpad owns its mapping");
+static_assert(std::is_nothrow_move_constructible_v<Scratchpad>);
+
+TEST(Scratchpad, FreshBytesReadZero) {
+  Scratchpad sp("GSM", 6u * 1024 * 1024);
+  const Region all = sp.alloc(sp.capacity());
+  const std::uint8_t* p = sp.raw(all.offset, all.bytes);
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < all.bytes; ++i) nonzero += p[i] != 0;
+  EXPECT_EQ(nonzero, 0u);
+}
+
+TEST(Scratchpad, ZeroCapacityRejectsNonEmptyAlloc) {
+  Scratchpad sp("Z", 0);
+  EXPECT_EQ(sp.capacity(), 0u);
+  EXPECT_EQ(sp.raw(0, 0), nullptr);  // nothing mapped
+  EXPECT_EQ(sp.alloc(0).offset, 0u);
+  EXPECT_THROW(sp.alloc(1), ContractViolation);
+  EXPECT_THROW(sp.raw(0, 1), ContractViolation);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// The bytes outside every allocated region are poisoned, so ASan sees an
+// access the capacity bounds check cannot: past a region, or after reset().
+TEST(Scratchpad, AsanReportsAccessOutsideRegions) {
+  Scratchpad sp("AM", 4096);
+  const Region r = sp.alloc(100);
+  volatile std::uint8_t* p = sp.raw(0, sp.capacity());
+  p[r.offset + 99] = 1;
+  EXPECT_DEATH(p[r.offset + 100] = 1, "use-after-poison");
+  sp.reset();
+  EXPECT_DEATH((void)p[r.offset], "use-after-poison");
+}
+#endif
 
 TEST(Dma, CostScalesWithBytesAndSharing) {
   const isa::MachineConfig mc;
@@ -137,7 +179,10 @@ TEST(Core, ScalarMoveAndAdd) {
 
 TEST(Core, LoadBroadcastFma) {
   DspCore core;
-  // SM: one float 3.0; AM: vector of 2.0s at offset 0, C accumulators 1.0.
+  // SM: one float 3.0; AM: vector of 2.0s at offset 0, C accumulators 1.0
+  // stored at offset 4096.
+  core.sm().alloc(4);
+  core.am().alloc(4096 + 32 * 4);
   float three = 3.0f;
   std::memcpy(core.sm().raw(0, 4), &three, 4);
   for (int l = 0; l < 32; ++l) {
@@ -244,6 +289,7 @@ TEST(Core, RunawayLoopHitsGuard) {
 TEST(Core, Svbcast2WritesTwoRegisters) {
   DspCore core;
   float pair[2] = {1.5f, -2.5f};
+  core.sm().alloc(sizeof(pair));
   std::memcpy(core.sm().raw(0, 8), pair, 8);
   Program p;
   p.name = "b2";
@@ -262,6 +308,7 @@ TEST(Core, Svbcast2WritesTwoRegisters) {
 
 TEST(Core, VlddwAndVstdw) {
   DspCore core;
+  core.am().alloc(1024 + 64 * 4);  // source at 0, copy at 1024
   for (int i = 0; i < 64; ++i) {
     const float v = static_cast<float>(i);
     std::memcpy(core.am().raw(i * 4, 4), &v, 4);
@@ -329,6 +376,37 @@ TEST(Cluster, TimingOnlyModeSkipsCopies) {
   cl.timeline(0).dma_wait(h);
   EXPECT_GT(cl.timeline(0).now(), 0u);
 }
+
+#if defined(__linux__)
+// Resident set size from /proc/self/statm, in bytes.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Cluster, ConstructionCommitsNoMemory) {
+  constexpr int kClusters = 8;
+  const isa::MachineConfig mc;
+  const std::size_t pad_bytes =
+      mc.gsm_bytes + static_cast<std::size_t>(mc.cores_per_cluster) *
+                         (mc.sm_bytes + mc.am_bytes);
+  ASSERT_GT(kClusters * pad_bytes, std::size_t{96} << 20);
+  // ASan's poisoning writes one shadow byte per 8 scratchpad bytes.
+  std::size_t budget = std::size_t{8} << 20;
+#if defined(__SANITIZE_ADDRESS__)
+  budget += kClusters * pad_bytes / 8;
+#endif
+  const std::size_t before = resident_bytes();
+  std::vector<std::unique_ptr<Cluster>> clusters;
+  for (int i = 0; i < kClusters; ++i) {
+    clusters.push_back(std::make_unique<Cluster>(mc, i));
+  }
+  const std::size_t grown = resident_bytes() - before;
+  EXPECT_LT(grown, budget) << "resident set grew by " << grown << " bytes";
+}
+#endif
 
 TEST(Cluster, ResetClearsState) {
   Cluster cl;
