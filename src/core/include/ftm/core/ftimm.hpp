@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "ftm/core/blocking.hpp"
 #include "ftm/core/roofline.hpp"
@@ -36,26 +35,6 @@ struct GemmPlan {
   KBlocks kblocks;   ///< meaningful when strategy == ParallelK
   TBlocks tblocks;   ///< meaningful when strategy == TGemm
   int cores = 8;     ///< core count the blocks were adjusted for
-  /// Set when the plan came from the empirical tuner (src/tune/) rather
-  /// than the paper's analytic defaults; surfaced in runtime stats.
-  bool tuned = false;
-  /// DMA buffering depth the plan was tuned with: 0 = follow
-  /// FtimmOptions::pingpong, 1 = single-buffered, >= 2 = ping-pong.
-  int dma_buffers = 0;
-};
-
-/// Source of pre-computed plans consulted by FtimmEngine::plan before the
-/// analytic dispatcher + paper-default blocks. The tuning cache
-/// (ftm::tune::TuningCache) is the production implementation; the
-/// interface lives here so core does not depend on src/tune. Lookups must
-/// be thread-safe: one provider is shared by every engine of a runtime.
-class PlanProvider {
- public:
-  virtual ~PlanProvider() = default;
-  /// A complete plan for the shape, or nullopt to fall back to defaults.
-  virtual std::optional<GemmPlan> lookup(
-      std::size_t m, std::size_t n, std::size_t k,
-      const FtimmOptions& opt) const = 0;
 };
 
 class FtimmEngine {
@@ -83,13 +62,6 @@ class FtimmEngine {
   /// The TGEMM baseline (Algorithm 1) with its fixed blocks.
   GemmResult tgemm(const GemmInput& in, const FtimmOptions& opt = {});
 
-  /// Installs (or clears, with nullptr) a tuned-plan source. plan()
-  /// consults it for Strategy::Auto requests with dynamic blocks and
-  /// falls back to the analytic path when it returns nullopt.
-  void set_plan_provider(std::shared_ptr<const PlanProvider> provider) {
-    provider_ = std::move(provider);
-  }
-
   /// The shape dispatcher of §IV-C, exposed for tests/benchmarks.
   Strategy choose_strategy(std::size_t m, std::size_t n, std::size_t k) const;
 
@@ -115,7 +87,6 @@ class FtimmEngine {
   isa::MachineConfig mc_;
   sim::Cluster cluster_;
   std::shared_ptr<kernelgen::KernelCache> cache_;
-  std::shared_ptr<const PlanProvider> provider_;
   MBlocks mblocks0_;
   KBlocks kblocks0_;
   TBlocks tblocks_;

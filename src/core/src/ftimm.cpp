@@ -111,16 +111,6 @@ GemmPlan FtimmEngine::plan(std::size_t m, std::size_t n, std::size_t k,
                            const FtimmOptions& opt) const {
   FTM_EXPECTS(m >= 1 && n >= 1 && k >= 1);
   FTM_EXPECTS(opt.cores >= 1 && opt.cores <= mc_.cores_per_cluster);
-  // Tuned plans only replace the fully automatic path: a forced strategy
-  // or pinned (non-dynamic) blocks is an explicit caller decision.
-  if (provider_ != nullptr && opt.force == Strategy::Auto &&
-      opt.dynamic_blocks) {
-    if (auto tuned = provider_->lookup(m, n, k, opt)) {
-      FTM_TRACE_COUNTER("plan.tuned", 1);
-      FTM_TRACE_COUNTER("plan.built", 1);
-      return *tuned;
-    }
-  }
   GemmPlan p;
   p.strategy = opt.force;
   if (p.strategy == Strategy::Auto) p.strategy = choose_strategy(m, n, k);
@@ -169,18 +159,12 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
                                       const FtimmOptions& opt) {
   FTM_EXPECTS(in.m >= 1 && in.n >= 1 && in.k >= 1);
   FTM_EXPECTS(opt.cores >= 1 && opt.cores <= mc_.cores_per_cluster);
-  // A tuned DMA buffering depth travels with the plan and overrides the
-  // caller's ping-pong setting (0 = plan has no opinion).
-  FtimmOptions eff = opt;
-  if (plan.dma_buffers > 0) eff.pingpong = plan.dma_buffers >= 2;
-
   // Mixed precision (docs/precision.md): F16/BF16 requests run the
   // dedicated half engine, which derives its own capacity blocks (2-byte
   // operands change every footprint) — the FP32 plan does not apply.
-  if (kernelgen::is_half(eff.dtype)) {
-    GemmResult hr = hgemm_f32(*this, in, eff);
-    FTM_TRACE_COUNTER("kernel.dtype",
-                      static_cast<std::uint64_t>(eff.dtype));
+  if (kernelgen::is_half(opt.dtype)) {
+    GemmResult hr = hgemm_f32(*this, in, opt);
+    FTM_TRACE_COUNTER("kernel.dtype", static_cast<std::uint64_t>(opt.dtype));
     return hr;
   }
 
@@ -189,22 +173,22 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
   // protect but still pay the modeled checksum cycles, so the overhead is
   // visible in cycle sweeps. The Off path must not touch the abft layer
   // at all — it stays byte- and cycle-identical to a pre-ABFT build.
-  const bool protect = eff.integrity != IntegrityMode::Off;
+  const bool protect = opt.integrity != IntegrityMode::Off;
   std::optional<abft::Checker> checker;
-  if (protect && eff.functional && in.c.data() != nullptr) {
+  if (protect && opt.functional && in.c.data() != nullptr) {
     checker.emplace(in.a, in.b, in.c);
   }
 
   GemmResult r;
   switch (plan.strategy) {
     case Strategy::ParallelM:
-      r = run_strategy_m(cluster_, *cache_, in, plan.mblocks, eff);
+      r = run_strategy_m(cluster_, *cache_, in, plan.mblocks, opt);
       break;
     case Strategy::ParallelK:
-      r = run_strategy_k(cluster_, *cache_, in, plan.kblocks, eff);
+      r = run_strategy_k(cluster_, *cache_, in, plan.kblocks, opt);
       break;
     case Strategy::TGemm:
-      r = run_tgemm(cluster_, *cache_, in, plan.tblocks, eff);
+      r = run_tgemm(cluster_, *cache_, in, plan.tblocks, opt);
       break;
     case Strategy::Auto:
       FTM_ASSERT(false);
@@ -221,7 +205,7 @@ GemmResult FtimmEngine::sgemm_planned(const GemmInput& in,
     // Throws IntegrityError when the damage exceeds in-place repair; the
     // runtime's resilience path recomputes (C is unspecified until then).
     const abft::VerifyStats vs = checker->verify(
-        in.c, eff.integrity == IntegrityMode::VerifyCorrect, cluster_.id());
+        in.c, opt.integrity == IntegrityMode::VerifyCorrect, cluster_.id());
     r.checksum_checks = static_cast<std::uint64_t>(vs.checks);
     r.sdc_detected = static_cast<std::uint64_t>(vs.detected);
     r.sdc_corrected = static_cast<std::uint64_t>(vs.corrected);

@@ -3,11 +3,11 @@
 //
 // Executes a planned Graph node by node in topo order. GEMM nodes go
 // through GemmRuntime::submit(), so they reuse everything the runtime
-// already has — the shape-keyed plan cache, a tuner PlanProvider if one
-// is installed, the fault/retry/fallback resilience path, and the shared
-// host TaskPool. Elementwise nodes (add/ReLU/bias) run on the host-SIMD
-// primitives with a deterministic bandwidth-bound cycle model; im2col is
-// the gather loop with the same treatment.
+// already has — the shape-keyed plan cache, the fault/retry/fallback
+// resilience path, and the shared host TaskPool. Elementwise nodes
+// (add/ReLU/bias) run on the host-SIMD primitives with a deterministic
+// bandwidth-bound cycle model; im2col is the gather loop with the same
+// treatment.
 //
 // Host execution: every host-side pass — the im2col gather, the
 // elementwise nodes and the zeroing of each GEMM output — runs as

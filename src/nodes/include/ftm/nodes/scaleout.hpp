@@ -2,11 +2,9 @@
 // (ISSUE 9, docs/scaleout.md).
 //
 // Each "node" is one fully independent simulated processor: its own
-// GemmRuntime (own clusters, GSM, plan cache; the tuning provider and
-// kernel caches of the RuntimeOptions template are shared by reference,
-// so one tuned plan store feeds every node). Nodes are joined by the
-// cost-modeled Interconnect and exchange data only through the ring
-// collectives (collectives.hpp).
+// GemmRuntime (own clusters, GSM, plan cache and kernel cache). Nodes
+// are joined by the cost-modeled Interconnect and exchange data only
+// through the ring collectives (collectives.hpp).
 //
 // Sharding: the problem is cut on a *canonical* grid derived from the
 // shape alone — M into ceil(m / m_tile_rows) row tiles, K into
@@ -71,8 +69,8 @@ struct NodeOptions {
   /// Template for every node's runtime. split_wide and batching are
   /// forced off inside nodes (the node layer owns sharding, and run_all
   /// needs the deterministic static schedule); everything else — cluster
-  /// count, wide_problem_flops, resilience, tuning provider, host
-  /// threads — applies per node.
+  /// count, wide_problem_flops, resilience, host threads — applies per
+  /// node.
   runtime::RuntimeOptions runtime;
   isa::MachineConfig machine = isa::default_machine();
   /// Per-node fault injectors (index = node id; missing/nullptr = none).

@@ -3,7 +3,7 @@
 //
 // Coalescible requests (Normal/Bulk priority, below
 // RuntimeOptions::wide_problem_flops) are held here, grouped by their
-// tune::ShapeClass key plus the plan-affecting FtimmOptions, and flushed
+// ShapeClass key plus the plan-affecting FtimmOptions, and flushed
 // as one batched dispatch when any trigger fires:
 //
 //   size     — a class reaches BatchOptions::max_batch (checked in add(),
@@ -39,7 +39,7 @@ class Batcher {
   /// (id) order.
   struct Flush {
     std::vector<std::unique_ptr<Request>> members;
-    tune::ShapeClass cls;
+    ShapeClass cls;
     const char* trigger = "";
   };
 
@@ -63,7 +63,7 @@ class Batcher {
   /// changes planning or execution — requests mixed under one key must be
   /// safely dispatchable with one shared plan policy.
   struct Key {
-    tune::ShapeClass cls;
+    ShapeClass cls;
     bool functional = true;
     int force = 0;  ///< core::Strategy as int, to keep the key POD-simple
     bool dynamic_blocks = true;

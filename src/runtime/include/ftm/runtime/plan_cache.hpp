@@ -20,28 +20,23 @@
 
 namespace ftm::runtime {
 
-/// Everything plan selection depends on. bandwidth_share, pingpong, and
-/// functional mode affect execution cost only, never the chosen plan, so
-/// they are deliberately not part of the key.
+/// Everything plan selection depends on. bandwidth_share, pingpong,
+/// dtype and functional mode affect execution only, never the chosen
+/// plan, so they are deliberately not part of the key.
 struct PlanKey {
   std::size_t m = 0, n = 0, k = 0;
   int cores = 8;
   bool dynamic_blocks = true;
   core::Strategy force = core::Strategy::Auto;
-  /// Tuned plans are dtype-keyed (ISSUE 10): an F16 request must not
-  /// reuse a plan the provider produced for the F32 class.
-  kernelgen::DType dtype = kernelgen::DType::F32;
 
   static PlanKey of(std::size_t m, std::size_t n, std::size_t k,
                     const core::FtimmOptions& opt) {
-    return PlanKey{m,         n,         k,       opt.cores,
-                   opt.dynamic_blocks,   opt.force, opt.dtype};
+    return PlanKey{m, n, k, opt.cores, opt.dynamic_blocks, opt.force};
   }
 
   friend bool operator<(const PlanKey& a, const PlanKey& b) {
-    return std::tie(a.m, a.n, a.k, a.cores, a.dynamic_blocks, a.force,
-                    a.dtype) < std::tie(b.m, b.n, b.k, b.cores,
-                                        b.dynamic_blocks, b.force, b.dtype);
+    return std::tie(a.m, a.n, a.k, a.cores, a.dynamic_blocks, a.force) <
+           std::tie(b.m, b.n, b.k, b.cores, b.dynamic_blocks, b.force);
   }
 };
 

@@ -32,7 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "ftm/tune/shape_class.hpp"
+#include "ftm/runtime/shape_class.hpp"
 
 namespace ftm::runtime {
 
@@ -103,7 +103,7 @@ struct BatchGroup {
   std::uint64_t id = 0;           ///< 1-based flush order
   int size = 0;                   ///< members at flush time
   int width = 0;                  ///< packing width W (lanes shared)
-  tune::ShapeClass cls;           ///< the coalescing key
+  ShapeClass cls;                 ///< the coalescing key
   const char* trigger = "";       ///< "size" | "age" | "pressure" | "flush"
   /// A/B panel bytes of members whose operand was already staged by an
   /// earlier batch-mate (accounting of the shared-operand DMA reuse).

@@ -75,7 +75,7 @@ struct Request {
   std::uint64_t arrival_cycle = 0;
   /// Shape class stamped at submit time (from the *caller's* opt.cores,
   /// before any batch repacking) — the coalescing and EWMA key.
-  tune::ShapeClass cls;
+  ShapeClass cls;
   /// Non-null for members of a flushed batch. Purely shared bookkeeping:
   /// each member still resolves its own promise and retries alone.
   std::shared_ptr<BatchGroup> batch;

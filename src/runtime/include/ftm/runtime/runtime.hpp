@@ -16,7 +16,7 @@
 //    result;
 //  * shape-class coalescing + admission control (ISSUE 7, docs/serving.md):
 //    with BatchOptions::enabled, Normal/Bulk sub-wide requests are held
-//    briefly in a Batcher keyed by tune::ShapeClass and flushed (on
+//    briefly in a Batcher keyed by ShapeClass and flushed (on
 //    size/age/pressure) as one batched dispatch — one plan lookup per
 //    distinct shape, shared-operand DMA panel reuse, members packed one
 //    core each across W lanes of one cluster (the run_all model).
@@ -115,10 +115,6 @@ struct RuntimeOptions {
   /// Optional fault injector, installed into every cluster's simulator
   /// (non-owning; must outlive the runtime). nullptr = no injection.
   fault::FaultInjector* fault_injector = nullptr;
-  /// Optional tuned-plan source (e.g. a ftm::tune::TuningCache), installed
-  /// into every cluster's engine; shared and thread-safe like the
-  /// KernelCache. nullptr = analytic paper-default plans only.
-  std::shared_ptr<const core::PlanProvider> tuning;
   /// Host execution engine (docs/performance.md): threads of the shared
   /// TaskPool that runs deferred functional work for all clusters. 0 =
   /// auto (min(hardware_concurrency, 8)), 1 = inline serial execution (no
@@ -257,7 +253,7 @@ class GemmRuntime {
   /// Predicted simulated latency for admission: lane-frontier backlog
   /// beyond the arrival plus the shape class's EWMA execution cycles.
   std::uint64_t predict_latency_cycles(const QosOptions& qos,
-                                       const tune::ShapeClass& cls) const;
+                                       const ShapeClass& cls) const;
   Route route(const core::GemmInput& in, const QosOptions& qos) const;
   void worker_loop(int cluster);
   /// One dispatch: executes, then delivers / retries / falls back / fails.
@@ -333,7 +329,7 @@ class GemmRuntime {
   RuntimeStats counters_;
   /// EWMA of successful execution cycles per shape class — the execution
   /// estimate of deadline admission (predict_latency_cycles).
-  std::map<tune::ShapeClass, double> class_cycles_;
+  std::map<ShapeClass, double> class_cycles_;
   std::vector<RequestStats> log_;
 };
 

@@ -21,7 +21,6 @@ struct RequestStats : core::GemmResult {
   std::uint64_t id = 0;          ///< submission order, 1-based
   int cluster = -1;              ///< cluster that executed it
   bool plan_cache_hit = false;   ///< strategy/block selection skipped
-  bool tuned_plan = false;       ///< executed a tuner-provided plan
   bool stolen = false;           ///< executed by a cluster it was not bound to
   int shards = 0;                ///< > 0 when this request was split
   int attempt = 0;               ///< 0 = first dispatch, n = nth retry
@@ -55,7 +54,6 @@ struct RuntimeStats {
   // member's shared pre-plan is a hit, anything planned afresh a miss.
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_misses = 0;
-  std::uint64_t tuned_plans = 0;  ///< dispatches that ran a tuned plan
   std::uint64_t steals = 0;      ///< requests executed off their bound cluster
   std::uint64_t splits = 0;      ///< wide requests sharded across clusters
   // Resilience counters. `faults` counts every dispatch that ended in a

@@ -241,7 +241,6 @@ constexpr TraceTwin kTraceTwins[] = {
     {&RuntimeStats::executed, "runtime.executed"},
     {&RuntimeStats::plan_hits, "runtime.plan_hits"},
     {&RuntimeStats::plan_misses, "runtime.plan_misses"},
-    {&RuntimeStats::tuned_plans, "runtime.tuned_plans"},
     {&RuntimeStats::steals, "runtime.steals"},
     {&RuntimeStats::splits, "runtime.splits"},
     {&RuntimeStats::faults, "runtime.faults"},
@@ -319,7 +318,6 @@ GemmRuntime::GemmRuntime(const RuntimeOptions& ro,
     if (ro_.fault_injector != nullptr) {
       cs.engine->cluster().set_fault_injector(ro_.fault_injector);
     }
-    if (ro_.tuning) cs.engine->set_plan_provider(ro_.tuning);
     cs.lanes.assign(static_cast<std::size_t>(mc_.cores_per_cluster), 0);
   }
   unsigned threads = static_cast<unsigned>(ro_.host_threads);
@@ -452,7 +450,7 @@ std::unique_ptr<Request> GemmRuntime::make_request(
   r->opt.integrity = std::max(opt.integrity, ro_.integrity);
   r->priority = qos.priority;
   r->arrival_cycle = qos.arrival_cycle;
-  r->cls = tune::ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
+  r->cls = ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
   r->submit_time = std::chrono::steady_clock::now();
   return r;
 }
@@ -563,8 +561,8 @@ RejectReason GemmRuntime::admit(const core::GemmInput& in,
     if (depth >= bound) return RejectReason::QueueFull;
   }
   if (qos.deadline_cycles > 0) {
-    const tune::ShapeClass cls =
-        tune::ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
+    const ShapeClass cls =
+        ShapeClass::of(in.m, in.n, in.k, opt.cores, opt.dtype);
     if (predict_latency_cycles(qos, cls) > qos.deadline_cycles) {
       return RejectReason::DeadlineUnmeetable;
     }
@@ -573,7 +571,7 @@ RejectReason GemmRuntime::admit(const core::GemmInput& in,
 }
 
 std::uint64_t GemmRuntime::predict_latency_cycles(
-    const QosOptions& qos, const tune::ShapeClass& cls) const {
+    const QosOptions& qos, const ShapeClass& cls) const {
   const std::lock_guard<std::mutex> lock(stats_mu_);
   // Backlog estimate: the least-loaded enabled cluster's lane frontier.
   // An arrival after the frontier waits for nothing; before it, the
@@ -723,10 +721,6 @@ core::GemmResult GemmRuntime::run_on_cluster(int cluster, Request& req,
   // One hit or miss per cluster dispatch.
   count(rs.plan_cache_hit ? &RuntimeStats::plan_hits
                           : &RuntimeStats::plan_misses);
-  if (plan.tuned) {
-    rs.tuned_plan = true;
-    count(&RuntimeStats::tuned_plans);
-  }
   return cs.engine->sgemm_planned(req.in, plan, req.opt);
 }
 
@@ -1280,10 +1274,9 @@ Table GemmRuntime::report() const {
     host_us.push_back(r.host_wall_us);
   }
   Table t({"cluster", "requests", "busy_cycles", "plan_hits", "plan_misses",
-           "tuned", "steals", "splits", "batches", "coalesced", "rejected",
-           "faults", "retries", "fallbacks", "quarantines", "probes",
-           "health", "wait_p50_ms", "wait_p95_ms", "host_p50_us",
-           "host_p95_us"});
+           "steals", "splits", "batches", "coalesced", "rejected", "faults",
+           "retries", "fallbacks", "quarantines", "probes", "health",
+           "wait_p50_ms", "wait_p95_ms", "host_p50_us", "host_p95_us"});
   // Per-cluster rows fill the dispatch and health columns only; the
   // request counters and latency percentiles are runtime-wide.
   const auto blanks = [&t](int n) {
@@ -1297,7 +1290,7 @@ Table GemmRuntime::report() const {
         .cell(static_cast<long long>(c))
         .cell(static_cast<std::size_t>(s.cluster_requests[c]))
         .cell(static_cast<std::size_t>(s.cluster_busy_cycles[c]));
-    blanks(8);
+    blanks(7);
     t.cell(static_cast<std::size_t>(s.cluster_failures[c]));
     blanks(2);
     t.cell(static_cast<std::size_t>(s.cluster_quarantines[c]))
@@ -1311,7 +1304,6 @@ Table GemmRuntime::report() const {
       .cell(static_cast<std::size_t>(makespan_cycles()))
       .cell(static_cast<std::size_t>(s.plan_hits))
       .cell(static_cast<std::size_t>(s.plan_misses))
-      .cell(static_cast<std::size_t>(s.tuned_plans))
       .cell(static_cast<std::size_t>(s.steals))
       .cell(static_cast<std::size_t>(s.splits))
       .cell(static_cast<std::size_t>(s.batches))

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
+#include <optional>
+#include <vector>
 
 #include "ftm/core/blocking.hpp"
 #include "ftm/trace/trace.hpp"
@@ -12,9 +13,18 @@ namespace ftm::tune {
 
 namespace {
 
-/// One point of the search space: per-strategy *seed* blocks (what the
-/// cache stores; the dynamic adjuster binds them to the concrete shape)
-/// plus the DMA buffering depth.
+// Search limits: simulator evaluations per shape (pruned candidates are
+// free), coordinate-descent sweeps per strategy, the fraction of the
+// analytic seed's min-CMR below which a candidate is pruned, and the
+// cores every plan is tuned for.
+constexpr int kBudget = 96;
+constexpr int kRounds = 2;
+constexpr double kCmrPrune = 0.5;
+constexpr int kCores = 8;
+
+/// One point of the search space: per-strategy *seed* blocks (the dynamic
+/// adjuster binds them to the concrete shape) plus the DMA buffering
+/// depth.
 struct Cand {
   core::Strategy strategy = core::Strategy::Auto;
   core::MBlocks mb;
@@ -32,19 +42,9 @@ struct Axis {
   std::function<void(Cand&, std::size_t)> set;
 };
 
-std::vector<Axis> axes_for(core::Strategy s, bool half) {
+std::vector<Axis> axes_for(core::Strategy s) {
   using S = core::Strategy;
   std::vector<Axis> ax;
-  const Axis dma{"dma_buffers",
-                 {1, 2},
-                 [](const Cand& c) { return static_cast<std::size_t>(c.dma); },
-                 [](Cand& c, std::size_t v) { c.dma = static_cast<int>(v); }};
-  if (half) {
-    // The half engine derives its own capacity blocks from the 2-byte
-    // operand footprints — only the DMA buffering depth is searchable.
-    ax.push_back(dma);
-    return ax;
-  }
   switch (s) {
     case S::ParallelM:
       ax.push_back({"ms",
@@ -93,7 +93,10 @@ std::vector<Axis> axes_for(core::Strategy s, bool half) {
                     [](Cand& c, std::size_t v) { c.tb.kg = v; }});
       break;
   }
-  ax.push_back(dma);
+  ax.push_back({"dma_buffers",
+                {1, 2},
+                [](const Cand& c) { return static_cast<std::size_t>(c.dma); },
+                [](Cand& c, std::size_t v) { c.dma = static_cast<int>(v); }});
   return ax;
 }
 
@@ -116,18 +119,15 @@ double min_cmr(const core::GemmPlan& p) {
 
 }  // namespace
 
-Tuner::Tuner(const isa::MachineConfig& mc, const TunerOptions& opt)
-    : mc_(mc), opt_(opt), engine_(mc) {
-  FTM_EXPECTS(opt_.cores >= 1 && opt_.cores <= mc.cores_per_cluster);
-  FTM_EXPECTS(opt_.budget >= 1 && opt_.rounds >= 1);
-  FTM_EXPECTS(opt_.cmr_prune >= 0 && opt_.cmr_prune < 1.0);
+Tuner::Tuner(const isa::MachineConfig& mc) : mc_(mc), engine_(mc) {
+  FTM_EXPECTS(kCores <= mc.cores_per_cluster);
 }
 
-std::uint64_t Tuner::evaluate(const core::GemmPlan& plan, std::size_t m,
-                              std::size_t n, std::size_t k) {
+std::uint64_t Tuner::evaluate(const core::GemmPlan& plan, bool pingpong,
+                              std::size_t m, std::size_t n, std::size_t k) {
   core::FtimmOptions o;
-  o.cores = opt_.cores;
-  o.dtype = opt_.dtype;
+  o.cores = kCores;
+  o.pingpong = pingpong;
   o.functional = false;  // lane-clock makespan only — no data movement
   const core::GemmResult r =
       engine_.sgemm_planned(core::GemmInput::shape_only(m, n, k), plan, o);
@@ -139,21 +139,19 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
   FTM_TRACE_COUNTER("tune.shapes", 1);
   TuneReport rep;
 
-  // Binds a candidate's seed blocks to the concrete shape: the same
-  // adjuster + capacity audit the cache lookup runs, so everything the
-  // search accepts is replayable from the persisted seed.
+  // Binds a candidate's seed blocks to the concrete shape with the
+  // engine's own adjuster + capacity audit.
   const auto bind = [&](const Cand& c) -> std::optional<core::GemmPlan> {
     core::GemmPlan p;
     p.strategy = c.strategy;
-    p.cores = opt_.cores;
-    p.dma_buffers = c.dma;
+    p.cores = kCores;
     try {
       switch (c.strategy) {
         case core::Strategy::ParallelM:
-          p.mblocks = core::adjust_m_blocks(c.mb, m, n, k, mc_, opt_.cores);
+          p.mblocks = core::adjust_m_blocks(c.mb, m, n, k, mc_, kCores);
           break;
         case core::Strategy::ParallelK:
-          p.kblocks = core::adjust_k_blocks(c.kb, m, n, k, mc_, opt_.cores);
+          p.kblocks = core::adjust_k_blocks(c.kb, m, n, k, mc_, kCores);
           break;
         default:
           p.tblocks = c.tb;
@@ -182,7 +180,8 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
   const Cand def_cand = seed_for(def_strategy);
   const auto def_plan = bind(def_cand);
   FTM_ASSERT(def_plan.has_value());  // the paper defaults always bind
-  const std::uint64_t def_cycles = evaluate(*def_plan, m, n, k);
+  const std::uint64_t def_cycles =
+      evaluate(*def_plan, def_cand.dma >= 2, m, n, k);
   ++rep.evaluated;
   FTM_TRACE_COUNTER("tune.search_steps", 1);
 
@@ -190,18 +189,11 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
   Cand best = def_cand;
 
   // Race the strategies, dispatcher's pick first (it gets the budget's
-  // best coverage and anchors the zero-regression guarantee). Half
-  // requests are routed to the dedicated engine regardless of the planned
-  // strategy, so racing other strategies would re-evaluate the same
-  // configuration.
-  const bool half = kernelgen::is_half(opt_.dtype);
+  // best coverage and anchors the zero-regression guarantee).
   std::vector<core::Strategy> order{def_strategy};
-  if (!half) {
-    for (core::Strategy s :
-         {core::Strategy::ParallelM, core::Strategy::ParallelK,
-          core::Strategy::TGemm}) {
-      if (s != def_strategy) order.push_back(s);
-    }
+  for (core::Strategy s : {core::Strategy::ParallelM,
+                           core::Strategy::ParallelK, core::Strategy::TGemm}) {
+    if (s != def_strategy) order.push_back(s);
   }
 
   for (const core::Strategy s : order) {
@@ -216,19 +208,17 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
         FTM_TRACE_COUNTER("tune.pruned", 1);
         continue;
       }
-      if (rep.evaluated >= opt_.budget) break;
-      cur_cycles = evaluate(*p, m, n, k);
+      if (rep.evaluated >= kBudget) break;
+      cur_cycles = evaluate(*p, cur.dma >= 2, m, n, k);
       ++rep.evaluated;
       FTM_TRACE_COUNTER("tune.search_steps", 1);
     }
     // CMR reference: the analytic seed's score for this strategy.
     double cmr_ref = 0.0;
-    if (opt_.cmr_prune > 0) {
-      if (const auto p = bind(cur)) cmr_ref = min_cmr(*p);
-    }
+    if (const auto p = bind(cur)) cmr_ref = min_cmr(*p);
 
-    const std::vector<Axis> axes = axes_for(s, half);
-    for (int round = 0; round < opt_.rounds; ++round) {
+    const std::vector<Axis> axes = axes_for(s);
+    for (int round = 0; round < kRounds; ++round) {
       bool improved = false;
       for (const Axis& axis : axes) {
         for (const std::size_t v : axis.values) {
@@ -241,13 +231,13 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
             FTM_TRACE_COUNTER("tune.pruned", 1);
             continue;
           }
-          if (cmr_ref > 0 && min_cmr(*p) < opt_.cmr_prune * cmr_ref) {
+          if (cmr_ref > 0 && min_cmr(*p) < kCmrPrune * cmr_ref) {
             ++rep.pruned;
             FTM_TRACE_COUNTER("tune.pruned", 1);
             continue;
           }
-          if (rep.evaluated >= opt_.budget) goto strategy_done;
-          const std::uint64_t cycles = evaluate(*p, m, n, k);
+          if (rep.evaluated >= kBudget) goto strategy_done;
+          const std::uint64_t cycles = evaluate(*p, cand.dma >= 2, m, n, k);
           ++rep.evaluated;
           FTM_TRACE_COUNTER("tune.search_steps", 1);
           if (cycles < cur_cycles) {  // strict: ties keep the earlier point
@@ -264,34 +254,16 @@ TuneReport Tuner::tune(std::size_t m, std::size_t n, std::size_t k) {
       best_cycles = cur_cycles;
       best = cur;
     }
-    if (rep.evaluated >= opt_.budget) break;
+    if (rep.evaluated >= kBudget) break;
   }
 
-  TunedEntry& e = rep.entry;
-  e.cls = ShapeClass::of(m, n, k, opt_.cores, opt_.dtype);
-  e.strategy = best.strategy;
-  e.mblocks = best.mb;
-  e.kblocks = best.kb;
-  e.tblocks = best.tb;
-  e.dma_buffers = best.dma;
-  e.m = m;
-  e.n = n;
-  e.k = k;
-  e.tuned_cycles = best_cycles;
-  e.default_cycles = def_cycles;
-  e.seed = opt_.seed;
+  const auto best_plan = bind(best);
+  FTM_ASSERT(best_plan.has_value());  // every accepted candidate bound
+  rep.plan = *best_plan;
+  rep.pingpong = best.dma >= 2;
+  rep.tuned_cycles = best_cycles;
+  rep.default_cycles = def_cycles;
   return rep;
-}
-
-std::vector<TuneReport> Tuner::tune_into(TuningCache& cache,
-                                         const std::vector<Shape>& shapes) {
-  std::vector<TuneReport> reports;
-  reports.reserve(shapes.size());
-  for (const Shape& s : shapes) {
-    reports.push_back(tune(s.m, s.n, s.k));
-    cache.put(reports.back().entry);
-  }
-  return reports;
 }
 
 }  // namespace ftm::tune

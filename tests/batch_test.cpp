@@ -1,5 +1,6 @@
-// Tests of the serving layer (ISSUE 7): shape-class coalescing, QoS
-// priorities, admission control, and batched-dispatch semantics.
+// Tests of the serving layer (ISSUE 7): shape-class bucketing and
+// coalescing, QoS priorities, admission control, and batched-dispatch
+// semantics.
 //
 // Determinism notes: size/pressure flushes happen inside submit() on the
 // submitting thread, so batch composition is a pure function of the
@@ -24,6 +25,37 @@ namespace {
 
 using core::GemmInput;
 using core::GemmResult;
+
+TEST(ShapeClassTest, BucketsAreFloorLog2) {
+  EXPECT_EQ(shape_bucket(1), 0);
+  EXPECT_EQ(shape_bucket(2), 1);
+  EXPECT_EQ(shape_bucket(3), 1);
+  EXPECT_EQ(shape_bucket(4), 2);
+  EXPECT_EQ(shape_bucket(262144), 18);
+}
+
+TEST(ShapeClassTest, NearbyShapesShareAClass) {
+  EXPECT_EQ(ShapeClass::of(262144, 32, 32, 8),
+            ShapeClass::of(300000, 40, 63, 8));
+  EXPECT_NE(ShapeClass::of(262144, 32, 32, 8),
+            ShapeClass::of(262144, 32, 32, 4));
+  const ShapeClass c = ShapeClass::of(262144, 32, 32, 8);
+  EXPECT_EQ(c.mb, 18);
+  EXPECT_EQ(c.nb, 5);
+  EXPECT_EQ(c.kb, 5);
+  EXPECT_EQ(c.cores, 8);
+}
+
+TEST(ShapeClassTest, DtypeIsAClassAxis) {
+  EXPECT_EQ(ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::F32),
+            ShapeClass::of(262144, 32, 32, 8));
+  EXPECT_EQ(ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::F16).dtype,
+            static_cast<int>(kernelgen::DType::F16));
+  EXPECT_NE(ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::F16),
+            ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::BF16));
+  EXPECT_NE(ShapeClass::of(262144, 32, 32, 8, kernelgen::DType::F16),
+            ShapeClass::of(262144, 32, 32, 8));
+}
 
 // A lone coalescible request must not wait forever: the age trigger
 // flushes it as a singleton batch, whose dispatch is unmodified (same

@@ -3,12 +3,10 @@
 // engine lifecycle, resource accounting, and cross-strategy consistency.
 #include <gtest/gtest.h>
 
-#include <memory>
 
 #include "ftm/core/ftimm.hpp"
 #include "ftm/cpu/cpu_gemm.hpp"
 #include "ftm/tune/tuner.hpp"
-#include "ftm/tune/tuning_cache.hpp"
 #include "ftm/workload/generators.hpp"
 #include "ftm/workload/sweeps.hpp"
 
@@ -231,14 +229,15 @@ TEST(Autotuner, MatchesReferenceAndReportsStrategy) {
   // timing-only mode) runs functionally to the analytic plan's tolerance.
   workload::GemmProblem p = workload::make_problem(4096, 32, 32, 3);
   const HostMatrix expect = reference_of(p);
-  auto cache = std::make_shared<tune::TuningCache>();
-  tune::Tuner().tune_into(*cache, {{p.m, p.n, p.k}});
+  const tune::TuneReport rep = tune::Tuner().tune(p.m, p.n, p.k);
+  FtimmOptions opt;
+  opt.pingpong = rep.pingpong;
   FtimmEngine eng;
-  eng.set_plan_provider(cache);
-  ASSERT_TRUE(eng.plan(p.m, p.n, p.k).tuned);
-  const GemmResult r =
-      eng.sgemm(GemmInput::bound(p.a.view(), p.b.view(), p.c.view()));
+  const GemmResult r = eng.sgemm_planned(
+      GemmInput::bound(p.a.view(), p.b.view(), p.c.view()), rep.plan, opt);
+  EXPECT_EQ(r.strategy, rep.plan.strategy);
   EXPECT_NE(r.strategy, Strategy::Auto);
+  EXPECT_EQ(r.cycles, rep.tuned_cycles);
   EXPECT_LT(max_rel_diff(p.c.view(), expect.view()), gemm_tolerance(32));
 }
 

@@ -84,7 +84,6 @@ class TimingEquivalence : public ::testing::TestWithParam<RandomShape> {};
 
 TEST_P(TimingEquivalence, SameCyclesAndTraffic) {
   const RandomShape s = GetParam();
-  if (s.strategy == Strategy::TGemm) GTEST_SKIP();  // covered via sgemm
   workload::GemmProblem p = workload::make_problem(s.m, s.n, s.k, 5);
   FtimmOptions opt;
   opt.cores = s.cores;

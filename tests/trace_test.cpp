@@ -537,7 +537,6 @@ TEST(RuntimeCounters, StatsAgreeWithTraceTwins) {
       {&RuntimeStats::executed, "runtime.executed"},
       {&RuntimeStats::plan_hits, "runtime.plan_hits"},
       {&RuntimeStats::plan_misses, "runtime.plan_misses"},
-      {&RuntimeStats::tuned_plans, "runtime.tuned_plans"},
       {&RuntimeStats::steals, "runtime.steals"},
       {&RuntimeStats::splits, "runtime.splits"},
       {&RuntimeStats::faults, "runtime.faults"},
